@@ -42,8 +42,8 @@ from .functionals import (
     NormBundle,
     energy,
     fiber_energy,
-    norm_bundle,
     problem,
+    stiff_bundle,
 )
 from .grid import (
     RadialFunction,
@@ -498,7 +498,7 @@ def instanton_asymptotics(N, q, n_list, grid=None):
 
     def row(n):
         u = truncated_instanton(N, n, grid)
-        nb = _bubble_bundle(u, p)
+        nb = stiff_bundle(u.grid, u.values, p)
         m_m, g_m, c_m, q_m = truncated_norms_model(N, n, q)
         return AsymptoticsRow(n, nb.mass, nb.grad_sq, nb.lcrit, nb.lq, m_m, g_m, c_m, q_m)
 
@@ -527,16 +527,21 @@ def instanton_asymptotics(N, q, n_list, grid=None):
 # ----------------------------------------------------------------------------
 
 def superpose(u_c, U_n, t, c=None):
-    """W(t): the mass-restoring dilation of u_c + t U_n.
+    """W(t): the mass-restoring dilation of u_c + t U_n, built explicitly.
 
     tau = ||u_c + t U_n||_2 / sqrt(c); W(x) = tau^((N-2)/2) (u_c + t U_n)(tau x).
     This dilation leaves the gradient and critical norms of the sum invariant
     and rescales the mass back to c.  Both profiles must live on one grid.
 
     The dilation is applied to the *grid*, not the samples: W is returned on
-    the nodes r/tau, where its values are known in closed form.  Quadrature
-    weights and the Dirichlet form are homogeneous in the node positions, so
-    the discrete mass of W is exactly c and no interpolation error enters.
+    a fresh grid with nodes r/tau, where its values are known in closed form.
+    Quadrature weights and the Dirichlet form are homogeneous in the node
+    positions, so the discrete mass of W is exactly c and no interpolation
+    error enters.  Every norm of W then costs a new grid (and, for the
+    kinetic term, a new stiffness matrix), so the subcritical scan and the
+    mountain-pass path use the cross-term route (`_build_cross`,
+    `_superposition_bundle`) instead; this construction is the reference
+    that route is tested against.
     """
     if t < 0.0:
         raise ParameterError(f"superposition weight must be nonnegative, got {t}")
@@ -559,64 +564,61 @@ def superpose(u_c, U_n, t, c=None):
     return RadialFunction(scaled, tau ** ((g.N - 2) / 2.0) * v)
 
 
-def _superposition_bundle(p, cross, t):
-    """Norms of W(t) from precomputed pieces, using the exact dilation laws.
+def _build_cross(p, u_c, U_n, c=None):
+    """The pieces of u_c + t U_n that the superposition norms need at every t.
 
-    cross carries the quadratic coefficients of mass/grad and callables for
-    the nonpolynomial norms of u + t U.
+    Mass and stiffness form are quadratic in t, so three coefficients each
+    (two sparse matvecs, six dot products on the shared grid) fix them for
+    every t.  The Lebesgue norms are not polynomial in t; the "lebesgue"
+    callable takes them, with the direct mass, in one O(M) pass per t.
+    c is the target mass of W(t); it defaults to the mass of u_c.
+    """
+    if not u_c.grid.same_layout(U_n.grid):
+        raise ParameterError("the superposition needs both profiles on one grid")
+    g = u_c.grid
+    W = g.omega_N * g.weights
+    u, U = u_c.values, U_n.values
+    Ku = g.stiffness @ u
+    m_a = float(W @ (u * u))
+
+    def lebesgue(t):
+        v = u + t * U
+        av = np.abs(v)
+        return float(W @ (v * v)), float(W @ av ** p.q), float(W @ av ** p.two_star)
+
+    return {
+        "c": m_a if c is None else float(c),
+        "m_a": m_a,
+        "m_x": float(W @ (u * U)),
+        "m_b": float(W @ (U * U)),
+        "g_a": float(u @ Ku),
+        "g_x": float(U @ Ku),
+        "g_b": float(U @ (g.stiffness @ U)),
+        "lebesgue": lebesgue,
+    }
+
+
+def _superposition_bundle(p, cross, t):
+    """Norms of W(t) from the `_build_cross` pieces, by the exact dilation laws.
+
+    With v = u_c + t U_n and m(t) its quadratic mass, tau^2 = m(t)/c; the
+    gradient and critical norms of W(t) are those of v and
+    ||W(t)||_q^q = tau^(((N-2)q-2N)/2) ||v||_q^q.  The mass returned is the
+    discrete mass of W(t), c (W @ v^2) / m(t): it differs from c only by
+    the roundoff of the quadratic expansion.
     """
     m_v = cross["m_a"] + 2.0 * t * cross["m_x"] + t * t * cross["m_b"]
     g_v = cross["g_a"] + 2.0 * t * cross["g_x"] + t * t * cross["g_b"]
-    lq_v = cross["lq"](t)
-    lc_v = cross["lcrit"](t)
+    m_d, lq_v, lc_v = cross["lebesgue"](t)
     tau2 = m_v / cross["c"]
     # exponent of tau in the q-norm law: ((N-2) q - 2 N)/2
     e_q = ((p.N - 2) * p.q - 2.0 * p.N) / 2.0
-    return NormBundle(cross["c"], g_v, tau2 ** (e_q / 2.0) * lq_v, lc_v)
-
-
-def _build_cross(p, u_c, U_n):
-    g = u_c.grid
-    W = g.omega_N * g.weights
-    K = g.stiffness
-    Ku = K @ u_c.values
-    KU = K @ U_n.values
-
-    def lq_of(t):
-        return float(W @ np.abs(u_c.values + t * U_n.values) ** p.q)
-
-    def lcrit_of(t):
-        return float(W @ np.abs(u_c.values + t * U_n.values) ** p.two_star)
-
-    return {
-        "c": float(W @ u_c.values ** 2),
-        "m_a": float(W @ u_c.values ** 2),
-        "m_x": float(W @ (u_c.values * U_n.values)),
-        "m_b": float(W @ U_n.values ** 2),
-        "g_a": float(u_c.values @ Ku),
-        "g_x": float(U_n.values @ Ku),
-        "g_b": float(U_n.values @ KU),
-        "lq": lq_of,
-        "lcrit": lcrit_of,
-    }
+    return NormBundle(cross["c"] * m_d / m_v, g_v, tau2 ** (e_q / 2.0) * lq_v, lc_v)
 
 
 # ----------------------------------------------------------------------------
 # threshold scans
 # ----------------------------------------------------------------------------
-
-def _bubble_bundle(u, p):
-    """Norms of a bubble profile, kinetic term through the Dirichlet form.
-
-    The families are piecewise smooth with slope kinks at the matching
-    radii; those radii sit on grid nodes, so the piecewise-linear form
-    never differences across a kink (the centered-difference route does,
-    and loses ~4 digits on the gradient there).
-    """
-    nb = norm_bundle(u, p)
-    g2 = float(u.values @ (u.grid.stiffness @ u.values))
-    return NormBundle(nb.mass, g2, nb.lq, nb.lcrit)
-
 
 @dataclass(frozen=True)
 class ScanRecord:
@@ -748,7 +750,7 @@ def threshold_scan_critical(p, n_list, t_grid=None):
             nan = float("nan")
             return ScanRecord(n, nan, nan, nan, nan, nan, threshold, False, nan,
                               note=str(exc))
-        nb = _bubble_bundle(u, p)
+        nb = stiff_bundle(u.grid, u.values, p)
 
         def phi(t):
             return float(fiber_energy(nb, p, t))

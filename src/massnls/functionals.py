@@ -38,6 +38,7 @@ __all__ = [
     "problem",
     "NormBundle",
     "norm_bundle",
+    "stiff_bundle",
     "energy",
     "pohozaev",
     "lagrange_multiplier",
@@ -118,6 +119,26 @@ class NormBundle:
 
 def norm_bundle(u, p):
     return NormBundle(mass(u), grad_norm_sq(u), norms(u, p.q), norms(u, p.two_star))
+
+
+def stiff_bundle(grid, vals, p):
+    """Norm bundle with the kinetic term in the P1 (stiffness) form.
+
+    This is the form whose exact Euclidean gradient the solvers descend, so
+    energies and gradients built on it are consistent to roundoff.  It is
+    also the right form for the piecewise bubble families: their kink radii
+    sit on grid nodes, so the P1 form never differences across a kink (the
+    centered-difference route of `norm_bundle` does, and loses ~4 digits
+    on the gradient there).
+    """
+    W = grid.omega_N * grid.weights
+    av = np.abs(vals)
+    return NormBundle(
+        float(W @ (vals * vals)),
+        float(vals @ (grid.stiffness @ vals)),
+        float(W @ av ** p.q),
+        float(W @ av ** p.two_star),
+    )
 
 
 def coerce_bundle(obj, p=None):

@@ -22,16 +22,16 @@ from .errors import (
     ScanExhaustedError,
 )
 from .functionals import (
-    NormBundle,
     _energy_gradient,
     energy_report,
     fiber_energy,
     fiber_scale,
     normalize_mass,
+    stiff_bundle,
 )
 from .grid import RadialFunction, make_grid, mass
 from .manifold import manifold_projection
-from .bubbles import truncated_instanton, bubble_grid, superpose
+from .bubbles import _build_cross, _superposition_bundle, bubble_grid, truncated_instanton
 
 __all__ = [
     "SolveOptions",
@@ -57,7 +57,6 @@ class SolveOptions:
     step0: float = 1.0
     grad_tol: float = 1e-8
     v_cap: float | None = None   # gradient-norm cap; defaults to rho0(c)
-    seed: int = 0
 
     def __post_init__(self):
         if self.max_iters < 1:
@@ -87,22 +86,6 @@ def _retract(W, vals, c):
     if m <= 0.0:
         raise ParameterError("iterate collapsed to the zero profile")
     return vals * np.sqrt(c / m)
-
-
-def _stiff_bundle(grid, vals, p):
-    """Norm bundle with the kinetic term in the P1 (stiffness) form.
-
-    This is the form whose exact Euclidean gradient the descent uses, so
-    energies and gradients here are consistent to roundoff.
-    """
-    W = grid.omega_N * grid.weights
-    av = np.abs(vals)
-    return NormBundle(
-        float(W @ (vals * vals)),
-        float(vals @ (grid.stiffness @ vals)),
-        float(W @ av ** p.q),
-        float(W @ av ** p.two_star),
-    )
 
 
 def _descend(g, vals, p, opts, eval_fn, cap=None, value_progress=True):
@@ -347,7 +330,7 @@ def local_minimize(p, init, opts=None):
 
     def eval_fn(v):
         u = RadialFunction(g, v)
-        nb = _stiff_bundle(g, v, p)
+        nb = stiff_bundle(g, v, p)
         return fiber_energy(nb, p, 1.0), _energy_gradient(u, p)
 
     vals, iters, hit_tol, history = _descend(g, vals, p, opts, eval_fn, cap=cap)
@@ -409,7 +392,7 @@ def ground_state_minimax(p, init, opts=None):
     vals = _retract(W, np.asarray(init.values, dtype=float), p.c)
 
     def eval_fn(v):
-        nb = _stiff_bundle(g, v, p)
+        nb = stiff_bundle(g, v, p)
         pt = manifold_projection(nb, p)   # projection failures propagate
         ts = pt.t
         force = (
@@ -425,7 +408,7 @@ def ground_state_minimax(p, init, opts=None):
 
     # re-center on the fiber maximum (Newton initial guess only), then
     # refine on the plain Euler-Lagrange system at fixed grid
-    pt = manifold_projection(_stiff_bundle(g, vals, p), p)
+    pt = manifold_projection(stiff_bundle(g, vals, p), p)
     if abs(pt.t - 1.0) > 1e-12:
         vals = fiber_scale(RadialFunction(g, vals), pt.t).values
         vals = _retract(W, np.asarray(vals, dtype=float), p.c)
@@ -457,26 +440,41 @@ class MountainPassReport:
 def mountain_pass_path(p, u_minus, bubble, t_grid=None):
     """The dilation path t -> W_t from the local minimizer toward collapse.
 
-    W_t is the mass-restoring superposition of u_minus with t times the
-    bubble; the path starts at u_minus exactly, its maximum is an upper
-    estimate of the mountain-pass level, and t_hat marks where the energy
-    first drops below twice the (negative) base level -- the admissible
-    endpoint for the minimax class.
+    W_t is the mass-c dilation of u_minus + t * bubble (see `superpose`).
+    u_minus must lie on the mass sphere (to 1e-6 relative), so the path
+    starts at u_minus, exactly when its mass is c to roundoff.  The path
+    maximum is an upper estimate of the mountain-pass level, and t_hat
+    marks where the energy first drops below twice the (negative) base
+    level -- the admissible endpoint for the minimax class.
+
+    The energies take the cross-term route: the mass and stiffness form of
+    u_minus + t * bubble are quadratic in t, so one pass over the shared
+    grid (two sparse matvecs) fixes them for every t, and the dilation laws
+    carry the norms over to W_t without building it.  Each t then costs
+    O(M) vector work; no grid or stiffness matrix is built.  mass_err_max
+    is the largest relative gap between the quadratic mass that sets the
+    dilation and the direct quadrature of (u_minus + t * bubble)^2.
     """
     if not p.mass_subcritical:
         raise HypothesisError("the mountain-pass path lives below q = 2 + 4/N")
+    if abs(mass(u_minus) - p.c) > 1e-6 * p.c:
+        raise ParameterError(
+            f"u_minus mass {mass(u_minus):g} is off the target sphere c = {p.c:g}"
+        )
     if t_grid is None:
         t_grid = np.concatenate([[0.0], np.geomspace(1e-3, 1e3, 400)])
     else:
         t_grid = np.asarray(t_grid, dtype=float)
+        if not np.all(t_grid >= 0.0):
+            raise ParameterError("superposition weights must be nonnegative")
         if t_grid[0] != 0.0:
             t_grid = np.concatenate([[0.0], t_grid])
 
+    cross = _build_cross(p, u_minus, bubble, c=p.c)
     energies = np.empty_like(t_grid)
     mass_err = 0.0
     for k, t in enumerate(t_grid):
-        w = superpose(u_minus, bubble, float(t), c=p.c)
-        nb = _stiff_bundle(w.grid, w.values, p)
+        nb = _superposition_bundle(p, cross, float(t))
         energies[k] = fiber_energy(nb, p, 1.0)
         mass_err = max(mass_err, abs(nb.mass - p.c) / p.c)
 

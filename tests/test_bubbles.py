@@ -12,7 +12,7 @@ from massnls.errors import (
     ParameterError,
     ResolutionError,
 )
-from massnls.functionals import energy, normalize_mass, problem
+from massnls.functionals import energy, normalize_mass, problem, stiff_bundle
 from massnls.grid import RadialFunction, make_grid, mass, norms
 
 
@@ -206,7 +206,7 @@ def test_normalized_dual_route_agreement():
     for n in (32, 256):
         u = B.mass_normalized_instanton(4, 1.0, n)
         mod = B.normalized_norms_model(4, 1.0, n)
-        nb = B._bubble_bundle(u, p)
+        nb = stiff_bundle(u.grid, u.values, p)
         assert nb.mass == pytest.approx(mod["mass"], rel=1e-8)
         assert nb.lq == pytest.approx(mod["lq"](3.0), rel=1e-8)
         # the gradient/critical deviations from S^(N/2) sit at or below the

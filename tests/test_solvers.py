@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from massnls.bubbles import bubble_grid, truncated_instanton
+from massnls.bubbles import bubble_grid, superpose, truncated_instanton
 from massnls.constants import sobolev_constant, thresholds
 from massnls.errors import HypothesisError, ParameterError, ScanExhaustedError
-from massnls.functionals import normalize_mass, problem
+from massnls.functionals import fiber_energy, normalize_mass, problem, stiff_bundle
 from massnls.grid import RadialFunction, make_grid, mass
 from massnls.solvers import (
     SolveOptions,
@@ -64,7 +64,6 @@ def test_options_defaults():
     assert o.step0 == 1.0
     assert o.grad_tol == 1e-8
     assert o.v_cap is None
-    assert o.seed == 0
 
 
 @pytest.mark.parametrize(
@@ -347,6 +346,45 @@ def test_path_that_never_drops_is_reported_as_exhausted():
     p, rpt, U = _pass_pieces()
     with pytest.raises(ScanExhaustedError, match="extend the t-grid"):
         mountain_pass_path(p, rpt.u, U, t_grid=np.geomspace(1e-3, 1.0, 50))
+
+
+def test_path_matches_the_explicit_superposition():
+    # the cross-term route against W_t built on its own dilated grid
+    p, rpt, U = _pass_pieces()
+    mp = mountain_pass_path(p, rpt.u, U, t_grid=np.geomspace(1e-3, 1e3, 40))
+    ref, scale = [], []
+    for t in mp.t_grid:
+        w = superpose(rpt.u, U, float(t), c=p.c)
+        nb = stiff_bundle(w.grid, w.values, p)
+        ref.append(fiber_energy(nb, p, 1.0))
+        scale.append(nb.grad_sq / 2.0 + p.mu * nb.lq / p.q + nb.lcrit / p.two_star)
+    ref, scale = np.array(ref), np.array(scale)
+    assert np.all(np.abs(mp.energies - ref) <= 1e-10 * scale)
+    k = int(np.argmax(ref))
+    assert mp.t_at_max == mp.t_grid[k]
+    assert mp.t_hat == mp.t_grid[np.flatnonzero(ref < 2.0 * ref[0])[0]]
+    assert mp.level_estimate == pytest.approx(ref[k], rel=1e-9)
+
+
+def test_path_rejects_profiles_on_different_grids():
+    p, rpt, _ = _pass_pieces()
+    g = bubble_grid(3, 32, 60.0, barrier_radii=(1.0, 2.0))
+    with pytest.raises(ParameterError, match="one grid"):
+        mountain_pass_path(p, rpt.u, truncated_instanton(3, 32, g))
+
+
+def test_path_rejects_off_sphere_minimizer():
+    p, rpt, U = _pass_pieces()
+    bad = RadialFunction(rpt.u.grid, 1.01 * rpt.u.values)
+    with pytest.raises(ParameterError, match="off the target sphere"):
+        mountain_pass_path(p, bad, U)
+
+
+@pytest.mark.parametrize("t_grid", [[-1.0, 1.0], [np.nan, 1.0]])
+def test_path_rejects_bad_weights(t_grid):
+    p, rpt, U = _pass_pieces()
+    with pytest.raises(ParameterError, match="nonnegative"):
+        mountain_pass_path(p, rpt.u, U, t_grid=t_grid)
 
 
 def test_path_requires_subcritical_exponent():
