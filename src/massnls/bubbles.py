@@ -53,6 +53,7 @@ from .grid import (
     pchip_resample,
     sphere_area,
 )
+from .manifold import manifold_projection
 
 __all__ = [
     "truncated_instanton",
@@ -719,13 +720,13 @@ def threshold_scan_subcritical(p, u_c, n_list, t_grid=None):
     return ScanResult(records, threshold, first)
 
 
-def threshold_scan_critical(p, n_list, t_grid=None):
+def threshold_scan_critical(p, n_list):
     """Dilation threshold scan for q >= 2+4/N using the mass-c family.
 
     For each n the sup over dilations of the fiber energy of the mass-c
-    bubble is compared against S^(N/2)/N.  The sup is evaluated twice: by a
-    t-grid scan with golden refinement and by the closed-form fiber maximum;
-    the larger-information route (the exact root) is recorded.
+    bubble, its exact fiber maximum, is compared against S^(N/2)/N.  An n
+    where the family does not exist or its fiber has no maximum gives a
+    diagnostic non-passing row (sup_t NaN, the reason in `note`).
     """
     if p.q < p.q_bar - 1e-12:
         raise HypothesisError("the dilation scan applies at and above q = 2+4/N")
@@ -736,10 +737,10 @@ def threshold_scan_critical(p, n_list, t_grid=None):
                 f"mu = {p.mu} is not below the admissible bound {rep.alpha_Nq} "
                 f"at the mass-critical exponent"
             )
-    t_grid = _default_t_grid() if t_grid is None else np.asarray(t_grid, dtype=float)
     sob = sobolev_constant(p.N)
     threshold = sob.S_pow / p.N
     n_list = sorted(int(n) for n in n_list)
+    nan = float("nan")
 
     def record(n):
         try:
@@ -747,27 +748,19 @@ def threshold_scan_critical(p, n_list, t_grid=None):
         except BracketError as exc:
             # the family does not exist at this n (core mass >= c);
             # report a diagnostic non-passing row instead of aborting the scan
-            nan = float("nan")
             return ScanRecord(n, nan, nan, nan, nan, nan, threshold, False, nan,
                               note=str(exc))
         nb = stiff_bundle(u.grid, u.values, p)
-
-        def phi(t):
-            return float(fiber_energy(nb, p, t))
-
-        t_scan, sup_scan = _sup_over_t(phi, t_grid)
         try:
-            from .manifold import manifold_projection
-
             pt = manifold_projection(nb, p)
-            t_best, sup_v = pt.t, pt.value
-        except NoCriticalPointError:
-            t_best, sup_v = t_scan, sup_scan
-        if sup_scan > sup_v:
-            t_best, sup_v = t_scan, sup_scan
+        except NoCriticalPointError as exc:
+            return ScanRecord(
+                n, float(nb.mass), float(nb.grad_sq), float(nb.lcrit), float(nb.lq),
+                nan, threshold, False, nan, note=str(exc),
+            )
         return ScanRecord(
             n, float(nb.mass), float(nb.grad_sq), float(nb.lcrit), float(nb.lq),
-            float(sup_v), threshold, bool(sup_v < threshold), float(t_best),
+            float(pt.value), threshold, bool(pt.value < threshold), float(pt.t),
         )
 
     with ThreadPoolExecutor(max_workers=_workers()) as ex:

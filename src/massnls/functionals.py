@@ -155,8 +155,14 @@ def coerce_bundle(obj, p=None):
 
 
 def _check_t(t):
+    """Validate positive dilations; NaN is rejected.  A Python float skips
+    the array conversion (the root finders evaluate one point at a time)."""
+    if isinstance(t, float):
+        if not t > 0.0:
+            raise ParameterError("dilation parameter must be positive")
+        return float(t)
     t = np.asarray(t, dtype=float)
-    if np.any(t <= 0.0):
+    if not np.all(t > 0.0):
         raise ParameterError("dilation parameter must be positive")
     return t if t.ndim else float(t)
 

@@ -4,19 +4,40 @@ For a profile u with norms (a, d, b) = (||grad u||^2, ||u||_q^q,
 ||u||_{2*}^{2*}), the energy along the mass-preserving dilation fiber has
 derivative g(t) = a t - mu gamma_q d t^{q gamma_q - 1} - b t^{2* - 1}; roots
 of g are exactly the dilations placing u on the constraint manifold
-{P = 0}.  For q >= 2+4/N the root is unique when it exists and is a strict
-maximum of the fiber energy; for q < 2+4/N there are zero, one (degenerate)
-or two roots, a local minimum followed by a local maximum.
+{P = 0}.  On t > 0 they are the roots of
+
+    h(t) = g(t)/t = a - A t^e1 - b t^e2,   A = mu gamma_q d,
+    e1 = q gamma_q - 2,  e2 = 2* - 2 > 0,
+
+whose shape is fixed by the sign of e1:
+
+* q = 2+4/N (e1 = 0): h is a - A - b t^e2, one closed-form root when a > A;
+* q > 2+4/N (e1 > 0): h falls strictly from a, one root (a strict maximum
+  of the fiber energy) when a > 0;
+* q < 2+4/N (e1 < 0): h has a single interior maximum at a closed-form t*,
+  so there are zero, one (degenerate) or two roots, a local minimum
+  followed by a local maximum.
+
+Each root is bracketed in closed form, from the dilations at which one term
+of h reaches a fixed multiple of a, and refined by one Brent solve in log t.  The
+bracket ends are formed in log space, so there is no search window: roots
+are found at any scale the floating-point range holds.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
-import numpy as np
 from scipy.optimize import brentq
 
-from .errors import HypothesisError, NoCriticalPointError, NumericalError
+from .errors import (
+    HypothesisError,
+    NoCriticalPointError,
+    NumericalError,
+    ParameterError,
+)
 from .functionals import (
     coerce_bundle,
     fiber_derivative,
@@ -31,12 +52,10 @@ __all__ = [
     "manifold_projection",
 ]
 
-# Root search window and scan resolution.  The bracket covers every scale the
-# rest of the package produces; running off either end raises rather than
-# silently truncating.
-T_LO = 1e-6
-T_HI = 1e6
-N_SCAN = 600
+# log of the largest and the smallest positive normal float
+_LOG_MAX = math.log(sys.float_info.max)
+_LOG_MIN = math.log(sys.float_info.min)
+_EPS = sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -51,16 +70,6 @@ class FiberCriticalPoint:
     t: float
     second_derivative_sign: str
     value: float
-
-
-def _derivative_scale(nb, p, t):
-    """Magnitude scale of g(t): the sum of the absolute sizes of its terms."""
-    qg = p.q * p.gamma_q
-    return (
-        nb.grad_sq * t
-        + p.mu * p.gamma_q * nb.lq * t ** (qg - 1.0)
-        + nb.lcrit * t ** (p.two_star - 1.0)
-    )
 
 
 def _second_scale(nb, p, t):
@@ -80,67 +89,127 @@ def _classify(nb, p, t):
     return "plus" if g2 > 0.0 else "minus"
 
 
-def fiber_critical_points(u, p, t_lo=T_LO, t_hi=T_HI, n_scan=N_SCAN):
-    """All positive roots of the fiber derivative, in increasing t.
+def _exp(log_t):
+    """exp(log_t), refusing a dilation outside the normal floating range."""
+    if not _LOG_MIN < log_t < _LOG_MAX:
+        raise NoCriticalPointError(
+            f"fiber critical point bracket at t = exp({log_t:.6g}) lies "
+            "outside the floating-point range"
+        )
+    return math.exp(log_t)
 
-    Accepts a RadialFunction, a NormBundle or a (grad_sq, lq, lcrit) triple.
-    Roots are located by sign bracketing on a log-spaced grid followed by
-    Brent refinement.  For q >= 2+4/N a unique 'minus' root is expected; its
-    absence raises NoCriticalPointError.  For q < 2+4/N the list may be
-    empty, contain one degenerate point, or a 'plus' then a 'minus' point.
+
+def _log_level(k, a, c, e):
+    """log of the t > 0 with c t^e = k a, free of over- and underflow."""
+    return (math.log(k * a) - math.log(c)) / e
+
+
+def _brent(nb, p, s_lo, s_hi):
+    """The root t = e^s of g with s in [s_lo, s_hi].
+
+    Brent runs in s = log t, where the terms of h are smooth exponentials;
+    in t, a bracket many decades wide would cost hundreds of bisections.
     """
-    nb = coerce_bundle(u, p)
-    if nb.lcrit == 0.0 and (p.mu == 0.0 or nb.lq == 0.0):
+    try:
+        s = brentq(
+            lambda s: fiber_derivative(nb, p, _exp(s)),
+            s_lo,
+            s_hi,
+            xtol=2.0 * _EPS,
+            rtol=4.0 * _EPS,
+        )
+    except ValueError as exc:
+        # the bracket has strict signs in exact arithmetic; losing them
+        # means g under- or overflowed at these dilations
+        raise NumericalError(
+            f"fiber derivative lost its sign change on "
+            f"[exp({s_lo:.6g}), exp({s_hi:.6g})]: {exc}"
+        ) from exc
+    return _exp(s)
+
+
+def _roots(nb, p):
+    """The positive roots of g in increasing t, from closed-form brackets."""
+    a, b = nb.grad_sq, nb.lcrit
+    A = p.mu * p.gamma_q * nb.lq
+    e1 = p.q * p.gamma_q - 2.0
+    e2 = p.two_star - 2.0
+    if not all(map(math.isfinite, (a, A, b))):
+        raise NumericalError(
+            f"non-finite fiber coefficients (a, A, b) = ({a}, {A}, {b})"
+        )
+    if min(a, A, b) < 0.0:
+        raise ParameterError(
+            f"norms must be nonnegative, got (a, A, b) = ({a}, {A}, {b})"
+        )
+    if A == 0.0 and b == 0.0:
         raise NoCriticalPointError(
             "fiber derivative is linear without reaction terms; no root"
         )
 
-    ts = np.geomspace(t_lo, t_hi, n_scan)
-    gs = fiber_derivative(nb, p, ts)
-    roots = []
-    for i in range(len(ts) - 1):
-        lo, hi = gs[i], gs[i + 1]
-        if lo == 0.0:
-            # grid point is an exact root; brentq needs a strict sign change
-            roots.append(float(ts[i]))
-            continue
-        if lo * hi < 0.0:
-            r = brentq(
-                lambda t: fiber_derivative(nb, p, t),
-                ts[i],
-                ts[i + 1],
-                xtol=1e-300,
-                rtol=4.0 * np.finfo(float).eps,
-            )
-            roots.append(float(r))
-    if gs[-1] == 0.0:
-        roots.append(float(ts[-1]))
+    if p.mass_critical:
+        if a <= A or b == 0.0:
+            return []
+        return [_exp(_log_level(1.0, a - A, b, e2))]
 
-    # collapse near-duplicates from tangencies straddling a grid node
-    merged = []
-    for r in sorted(roots):
-        if merged and abs(r - merged[-1]) <= 1e-9 * merged[-1]:
-            continue
-        merged.append(r)
+    if p.q > p.q_bar:
+        if a == 0.0:
+            return []
+        terms = [(c, e) for c, e in ((A, e1), (b, e2)) if c > 0.0]
+        # at t_lo each of the n terms is at most 0.8a/n, so h >= a/5; at
+        # t_hi one term alone is 1.1a, so h <= -a/10: strict signs, with
+        # margins far above rounding, on a bracket kept tight for Brent
+        s_lo = min(_log_level(0.8 / len(terms), a, c, e) for c, e in terms)
+        s_hi = min(_log_level(1.1, a, c, e) for c, e in terms)
+        return [_brent(nb, p, s_lo, s_hi)]
 
-    points = [
-        FiberCriticalPoint(r, _classify(nb, p, r), float(fiber_energy(nb, p, r)))
-        for r in merged
+    # q < 2+4/N: with one term, h is monotone and its root closed form
+    if a == 0.0:
+        return []
+    if A == 0.0:
+        return [_exp(_log_level(1.0, a, b, e2))]
+    if b == 0.0:
+        return [_exp(_log_level(1.0, a, A, e1))]
+    # with both, h rises from -inf to one maximum at t* and falls back to
+    # -inf; there b e2 t*^e2 = A (-e1) t*^e1, so a - h(t*) =
+    # A t*^e1 (e2 - e1)/e2, compared with a in log space
+    s_star = (math.log(A * -e1) - math.log(b * e2)) / (e2 - e1)
+    log_drop = math.log(A * (e2 - e1) / e2) + e1 * s_star
+    if log_drop > math.log(a):
+        return []
+    if log_drop == math.log(a):
+        return [_exp(s_star)]
+    # at each outer end one term alone is 1.1a, so h <= -a/10
+    return [
+        _brent(nb, p, _log_level(1.1, a, A, e1), s_star),
+        _brent(nb, p, s_star, _log_level(1.1, a, b, e2)),
     ]
 
-    if p.q >= p.q_bar - 1e-12:
-        if not points:
-            raise NoCriticalPointError(
-                "no fiber critical point in the search window; "
-                "for q >= 2+4/N this means the quadratic coefficient is "
-                "dominated (e.g. mu beyond the smallness threshold)"
-            )
-        if len(points) > 1:
-            raise NumericalError(
-                f"expected a unique fiber critical point for q >= 2+4/N, "
-                f"found {len(points)} at t = {[pt.t for pt in points]}"
-            )
-    return points
+
+def fiber_critical_points(u, p):
+    """All positive roots of the fiber derivative, in increasing t.
+
+    Accepts a RadialFunction, a NormBundle or a (grad_sq, lq, lcrit) triple.
+    Every root is bracketed in closed form and refined to full precision by
+    one Brent solve.  There is no search window: roots are found at any
+    scale the floating-point range holds, and a bracket that leaves it
+    raises a NumericalError.
+    For q >= 2+4/N the root is unique and 'minus'; its absence raises
+    NoCriticalPointError.  For q < 2+4/N the list may be empty, contain one
+    degenerate point, or a 'plus' then a 'minus' point.
+    """
+    nb = coerce_bundle(u, p)
+    roots = _roots(nb, p)
+    if not roots and not p.mass_subcritical:
+        raise NoCriticalPointError(
+            "the fiber derivative has no positive root; for q >= 2+4/N this "
+            "means the quadratic coefficient is dominated (e.g. mu beyond "
+            "the smallness threshold)"
+        )
+    return [
+        FiberCriticalPoint(r, _classify(nb, p, r), float(fiber_energy(nb, p, r)))
+        for r in roots
+    ]
 
 
 def manifold_projection(u, p):

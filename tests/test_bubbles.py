@@ -9,6 +9,7 @@ from massnls.constants import instanton_amplitude, sobolev_constant, thresholds
 from massnls.errors import (
     BracketError,
     HypothesisError,
+    NoCriticalPointError,
     ParameterError,
     ResolutionError,
 )
@@ -383,6 +384,20 @@ def test_critical_scan_mu_zero_never_passes():
     assert all(gap > 0.0 for gap in gaps)
     assert gaps == sorted(gaps, reverse=True)  # approaches from above
     assert res.first_pass is None
+
+
+def test_critical_scan_row_without_fiber_maximum(monkeypatch):
+    def no_root(nb, p):
+        raise NoCriticalPointError("no root in this test")
+
+    monkeypatch.setattr(B, "manifold_projection", no_root)
+    alpha = thresholds(4, 3.0, 1.0, 1.0).alpha_Nq
+    res = B.threshold_scan_critical(problem(4, 1.0, 0.9 * alpha, 3.0), [32])
+    (r,) = res.records
+    assert not r.passed and res.first_pass is None
+    assert np.isnan(r.sup_t) and np.isnan(r.t_at_sup)
+    assert r.note == "no root in this test"
+    assert r.mass == pytest.approx(1.0, rel=1e-10)
 
 
 def test_critical_scan_guards():

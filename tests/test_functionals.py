@@ -223,6 +223,16 @@ def test_fiber_energy_rejects_nonpositive_t():
         fiber_derivative((1.0, 0.0, 1.0), p, -2.0)
 
 
+@pytest.mark.parametrize("fn", [fiber_energy, fiber_derivative])
+@pytest.mark.parametrize(
+    "t", [float("nan"), np.float64("nan"), np.array([1.0, np.nan]), [np.nan]]
+)
+def test_fiber_functions_reject_nan_t(fn, t):
+    p = problem(3, 1.0, 1.0, 4.0)
+    with pytest.raises(ParameterError):
+        fn((1.0, 0.5, 1.0), p, t)
+
+
 # ----------------------------------------------------------------------------
 # general nonlinearity bookkeeping
 # ----------------------------------------------------------------------------

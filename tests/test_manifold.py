@@ -2,11 +2,16 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from massnls.constants import sobolev_constant
-from massnls.errors import HypothesisError, NoCriticalPointError
+from massnls.errors import (
+    HypothesisError,
+    NoCriticalPointError,
+    NumericalError,
+    ParameterError,
+)
 from massnls.grid import RadialFunction, make_grid
 from massnls.functionals import (
     NormBundle,
@@ -169,25 +174,45 @@ def test_dilation_covariance_through_resampling():
     mu=st.floats(min_value=0.0, max_value=5.0),
     q=st.floats(min_value=3.4, max_value=5.9),
 )
+@example(a=1.0, d=1.0, b=1.0, mu=8.4e-178, q=3.5)  # (k a/A)^(1/e1) overflows
 @settings(max_examples=80, deadline=None)
 def test_unique_max_property_above_mass_critical(a, d, b, mu, q):
     p = problem(3, 1.0, mu, q)
     nb = NormBundle(1.0, a, d, b)
-    try:
-        pts = fiber_critical_points(nb, p)
-    except NoCriticalPointError:
-        # the root exists mathematically but can sit below the search
-        # window when q is close to the mass-critical exponent and the
-        # subcritical term dominates; the derivative must then already be
-        # negative at the window edge
-        assert fiber_derivative(nb, p, 1e-6) < 0.0
-        return
+    pts = fiber_critical_points(nb, p)
     assert len(pts) == 1
     pt = pts[0]
     assert pt.second_derivative_sign == "minus"
     # local max: the fiber energy dips on both sides
     for s in (0.9, 1.1):
         assert fiber_energy(nb, p, pt.t * s) <= pt.value + 1e-12 * (1 + abs(pt.value))
+
+
+def _root_residual(a, d, b, p, t):
+    """|g(t)| over the sum of the absolute sizes of g's three terms."""
+    qg = p.q * p.gamma_q
+    scale = a * t + p.mu * p.gamma_q * d * t ** (qg - 1.0) + b * t ** (p.two_star - 1.0)
+    return abs(fiber_derivative((a, d, b), p, t)) / scale
+
+
+def test_plus_root_far_below_one():
+    # the local minimum sits near t = 1.6e-7
+    p = problem(3, 1.0, 1.0, 2.5)
+    pts = fiber_critical_points((1.0, 1e-8, 1.0), p)
+    assert [pt.second_derivative_sign for pt in pts] == ["plus", "minus"]
+    assert pts[0].t < 1e-6 < pts[1].t
+    for pt in pts:
+        assert _root_residual(1.0, 1e-8, 1.0, p, pt.t) <= 1e-12
+
+
+def test_unique_root_far_below_one_above_mass_critical():
+    # a small gradient norm against a large subcritical term puts the root
+    # near t = 6e-16
+    p = problem(3, 1.0, 1.0, 3.5)
+    pts = fiber_critical_points((0.01, 100.0, 1.0), p)
+    assert [pt.second_derivative_sign for pt in pts] == ["minus"]
+    assert pts[0].t < 1e-6
+    assert _root_residual(0.01, 100.0, 1.0, p, pts[0].t) <= 1e-12
 
 
 # ----------------------------------------------------------------------------
@@ -253,6 +278,15 @@ def test_dominated_mass_critical_raises():
     # a - mu*gamma_q*d < 0: the fiber derivative is negative everywhere
     with pytest.raises(NoCriticalPointError):
         fiber_critical_points((0.1, 1.0, 1.0), p)
+
+
+@pytest.mark.parametrize("q", [2.5, 10.0 / 3.0, 4.0])
+def test_bad_norms_raise(q):
+    p = problem(3, 1.0, 1.0, q)
+    with pytest.raises(ParameterError):
+        fiber_critical_points((1.0, -0.5, 1.0), p)
+    with pytest.raises(NumericalError):
+        fiber_critical_points((1.0, 0.5, float("nan")), p)
 
 
 def test_manifold_energy_rejects_mass_subcritical():
