@@ -20,8 +20,9 @@ whose shape is fixed by the sign of e1:
 
 Each root is bracketed in closed form, from the dilations at which one term
 of h reaches a fixed multiple of a, and refined by one Brent solve in log t.  The
-bracket ends are formed in log space, so there is no search window: roots
-are found at any scale the floating-point range holds.
+bracket ends are formed in log space and clamped to the floating-point
+range, so there is no search window: roots are found at any scale that
+range holds.
 """
 
 from __future__ import annotations
@@ -93,8 +94,8 @@ def _exp(log_t):
     """exp(log_t), refusing a dilation outside the normal floating range."""
     if not _LOG_MIN < log_t < _LOG_MAX:
         raise NoCriticalPointError(
-            f"fiber critical point bracket at t = exp({log_t:.6g}) lies "
-            "outside the floating-point range"
+            f"fiber critical point at t = exp({log_t:.6g}) lies outside "
+            "the floating-point range"
         )
     return math.exp(log_t)
 
@@ -104,17 +105,29 @@ def _log_level(k, a, c, e):
     return (math.log(k * a) - math.log(c)) / e
 
 
-def _brent(nb, p, s_lo, s_hi):
-    """The root t = e^s of g with s in [s_lo, s_hi].
+def _brent(nb, p, s_lo, s_hi, sign_lo):
+    """The root t = e^s of g with s in [s_lo, s_hi], where g has the sign
+    sign_lo at e^s_lo and the opposite sign at e^s_hi; None when that sign
+    change lies beyond the floating-point range.
 
-    Brent runs in s = log t, where the terms of h are smooth exponentials;
-    in t, a bracket many decades wide would cost hundreds of bisections.
+    An end beyond the range is clamped to it, and the root is in range only
+    if g is finite there and keeps the sign of that end.  Brent runs in
+    s = log t, where the terms of h are smooth exponentials; in t, a bracket
+    many decades wide would cost hundreds of bisections.
     """
+    lo, hi = max(s_lo, _LOG_MIN), min(s_hi, _LOG_MAX)
+    if lo >= hi:
+        return None
+    for s, end, sign in ((lo, s_lo, sign_lo), (hi, s_hi, -sign_lo)):
+        if s != end:
+            g = fiber_derivative(nb, p, math.exp(s))
+            if not (math.isfinite(g) and sign * g > 0.0):
+                return None
     try:
         s = brentq(
-            lambda s: fiber_derivative(nb, p, _exp(s)),
-            s_lo,
-            s_hi,
+            lambda s: fiber_derivative(nb, p, math.exp(s)),
+            lo,
+            hi,
             xtol=2.0 * _EPS,
             rtol=4.0 * _EPS,
         )
@@ -123,9 +136,9 @@ def _brent(nb, p, s_lo, s_hi):
         # means g under- or overflowed at these dilations
         raise NumericalError(
             f"fiber derivative lost its sign change on "
-            f"[exp({s_lo:.6g}), exp({s_hi:.6g})]: {exc}"
+            f"[exp({lo:.6g}), exp({hi:.6g})]: {exc}"
         ) from exc
-    return _exp(s)
+    return math.exp(s)
 
 
 def _roots(nb, p):
@@ -161,15 +174,20 @@ def _roots(nb, p):
         # margins far above rounding, on a bracket kept tight for Brent
         s_lo = min(_log_level(0.8 / len(terms), a, c, e) for c, e in terms)
         s_hi = min(_log_level(1.1, a, c, e) for c, e in terms)
-        return [_brent(nb, p, s_lo, s_hi)]
+        root = _brent(nb, p, s_lo, s_hi, 1.0)
+        if root is None:
+            raise NoCriticalPointError(
+                "the root of the fiber derivative lies beyond the "
+                "floating-point range"
+            )
+        return [root]
 
     # q < 2+4/N: with one term, h is monotone and its root closed form
     if a == 0.0:
         return []
-    if A == 0.0:
-        return [_exp(_log_level(1.0, a, b, e2))]
-    if b == 0.0:
-        return [_exp(_log_level(1.0, a, A, e1))]
+    if A == 0.0 or b == 0.0:
+        s = _log_level(1.0, a, b, e2) if A == 0.0 else _log_level(1.0, a, A, e1)
+        return [math.exp(s)] if _LOG_MIN < s < _LOG_MAX else []
     # with both, h rises from -inf to one maximum at t* and falls back to
     # -inf; there b e2 t*^e2 = A (-e1) t*^e1, so a - h(t*) =
     # A t*^e1 (e2 - e1)/e2, compared with a in log space
@@ -177,13 +195,23 @@ def _roots(nb, p):
     log_drop = math.log(A * (e2 - e1) / e2) + e1 * s_star
     if log_drop > math.log(a):
         return []
-    if log_drop == math.log(a):
-        return [_exp(s_star)]
+    if _LOG_MIN < s_star < _LOG_MAX:
+        t_star = math.exp(s_star)
+        # g'(t*) = h(t*): within the classification tolerance of 0 the two
+        # roots merge into one degenerate point
+        if _classify(nb, p, t_star) == "zero":
+            return [t_star]
+        if not fiber_derivative(nb, p, t_star) > 0.0:
+            raise NumericalError(
+                f"fiber derivative underflowed at the maximum of h, "
+                f"t = {t_star:.6g}"
+            )
     # at each outer end one term alone is 1.1a, so h <= -a/10
-    return [
-        _brent(nb, p, _log_level(1.1, a, A, e1), s_star),
-        _brent(nb, p, s_star, _log_level(1.1, a, b, e2)),
-    ]
+    roots = (
+        _brent(nb, p, _log_level(1.1, a, A, e1), s_star, -1.0),
+        _brent(nb, p, s_star, _log_level(1.1, a, b, e2), 1.0),
+    )
+    return [r for r in roots if r is not None]
 
 
 def fiber_critical_points(u, p):
@@ -192,11 +220,12 @@ def fiber_critical_points(u, p):
     Accepts a RadialFunction, a NormBundle or a (grad_sq, lq, lcrit) triple.
     Every root is bracketed in closed form and refined to full precision by
     one Brent solve.  There is no search window: roots are found at any
-    scale the floating-point range holds, and a bracket that leaves it
-    raises a NumericalError.
-    For q >= 2+4/N the root is unique and 'minus'; its absence raises
-    NoCriticalPointError.  For q < 2+4/N the list may be empty, contain one
-    degenerate point, or a 'plus' then a 'minus' point.
+    scale the floating-point range holds.
+    For q >= 2+4/N the root is unique and 'minus'; its absence, or a root
+    beyond the floating-point range, raises NoCriticalPointError.  For
+    q < 2+4/N the list may be empty, contain one degenerate point, or a
+    'plus' then a 'minus' point; a root beyond the floating-point range
+    cannot be represented and is left out.
     """
     nb = coerce_bundle(u, p)
     roots = _roots(nb, p)

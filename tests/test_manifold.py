@@ -263,6 +263,48 @@ def test_degenerate_tangency_classifies_as_zero():
     assert manifold_mod._classify(nb, p, t_star) == "zero"
 
 
+def _tangency_d():
+    # the d of test_degenerate_tangency_classifies_as_zero
+    t_star = (5.0 / 21.0) ** 0.25
+    return (t_star - t_star ** 5) * t_star ** 0.25 / 0.3
+
+
+@pytest.mark.parametrize("rel", [-1e-9, -1e-12, -1e-14, 0.0, 1e-14, 1e-12, 1e-9])
+def test_tangency_gives_at_most_one_degenerate_root(rel):
+    # the two roots lie within rounding of each other (d at or below the
+    # tangency) or do not exist (above it): one degenerate point or none,
+    # never a pair and never an error
+    p = problem(3, 1.0, 1.0, 2.5)
+    nb = NormBundle(1.0, 1.0, _tangency_d() * (1.0 + rel), 1.0)
+    pts = fiber_critical_points(nb, p)
+    assert [pt.second_derivative_sign for pt in pts] == (["zero"] if rel <= 0 else [])
+    if rel == 0.0:
+        assert pts[0].t == pytest.approx((5.0 / 21.0) ** 0.25, rel=1e-12)
+
+
+def test_root_found_when_a_bracket_end_leaves_the_float_range():
+    # q within 1e-6 of 2+4/N: the A-term bracket end (k a/A)^(1/e1) lies
+    # hundreds of thousands of decades away, the root near t = 1
+    p = problem(3, 1.0, 1.0, 10.0 / 3.0 - 1e-6)
+    pts = fiber_critical_points((1.0, 1.0, 1.0), p)
+    # the 'plus' root sits near t = exp(-3.4e5), beyond the float range
+    assert [pt.second_derivative_sign for pt in pts] == ["minus"]
+    assert _root_residual(1.0, 1.0, 1.0, p, pts[0].t) <= 1e-12
+    p = problem(3, 1.0, 1.0, 10.0 / 3.0 + 1e-6)
+    a = 0.9999 * p.gamma_q
+    pts = fiber_critical_points((a, 1.0, 1.0), p)
+    assert [pt.second_derivative_sign for pt in pts] == ["minus"]
+    assert pts[0].t < 1e-20
+    assert _root_residual(a, 1.0, 1.0, p, pts[0].t) <= 1e-12
+
+
+def test_root_beyond_the_float_range_raises():
+    # as above with q - (2+4/N) = 1e-9: the root sits near t = exp(-6.7e4)
+    p = problem(3, 1.0, 1.0, 10.0 / 3.0 + 1e-9)
+    with pytest.raises(NoCriticalPointError, match="floating-point range"):
+        fiber_critical_points((0.9999 * p.gamma_q, 1.0, 1.0), p)
+
+
 # ----------------------------------------------------------------------------
 # errors
 # ----------------------------------------------------------------------------
