@@ -21,8 +21,6 @@ the gradient and critical norms invariant.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from math import comb
 
@@ -74,16 +72,6 @@ __all__ = [
     "threshold_scan_subcritical",
     "threshold_scan_critical",
 ]
-
-
-def _workers():
-    env = os.environ.get("MASSNLS_WORKERS", "")
-    if env.strip():
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ParameterError(f"MASSNLS_WORKERS must be an integer, got {env!r}")
-    return min(4, os.cpu_count() or 1)
 
 
 # ----------------------------------------------------------------------------
@@ -503,8 +491,7 @@ def instanton_asymptotics(N, q, n_list, grid=None):
         m_m, g_m, c_m, q_m = truncated_norms_model(N, n, q)
         return AsymptoticsRow(n, nb.mass, nb.grad_sq, nb.lcrit, nb.lq, m_m, g_m, c_m, q_m)
 
-    with ThreadPoolExecutor(max_workers=_workers()) as ex:
-        rows = list(ex.map(row, n_list))
+    rows = [row(n) for n in n_list]
 
     table = AsymptoticsTable(N, q, rows)
     ns = [r.n for r in rows][1:]
@@ -714,8 +701,7 @@ def threshold_scan_subcritical(p, u_c, n_list, t_grid=None):
             float(sup_v), threshold, bool(sup_v < threshold), float(t_best),
         )
 
-    with ThreadPoolExecutor(max_workers=_workers()) as ex:
-        records = list(ex.map(record, n_list))
+    records = [record(n) for n in n_list]
     first = next((r.n for r in records if r.passed), None)
     return ScanResult(records, threshold, first)
 
@@ -763,7 +749,6 @@ def threshold_scan_critical(p, n_list):
             float(pt.value), threshold, bool(pt.value < threshold), float(pt.t),
         )
 
-    with ThreadPoolExecutor(max_workers=_workers()) as ex:
-        records = list(ex.map(record, n_list))
+    records = [record(n) for n in n_list]
     first = next((r.n for r in records if r.passed), None)
     return ScanResult(records, threshold, first)

@@ -31,7 +31,7 @@ import numpy as np
 
 from .constants import ExponentPack, exponents
 from .errors import HypothesisError, ParameterError
-from .grid import RadialFunction, grad_norm_sq, mass, norms, pchip_resample, tail_fraction
+from .grid import RadialFunction, _pchip_values, grad_norm_sq, mass, norms, tail_fraction
 
 __all__ = [
     "ProblemParams",
@@ -204,14 +204,7 @@ def fiber_scale(u, t):
     if not t > 0.0:
         raise ParameterError(f"dilation parameter must be positive, got {t}")
     g = u.grid
-    from scipy.interpolate import PchipInterpolator
-
-    # flat (identically zero) tails trip harmless overflow warnings inside
-    # the pchip slope formula
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        interp = PchipInterpolator(g.nodes, u.values, extrapolate=False)
-    vals = interp(t * g.nodes)
-    vals = np.where(np.isnan(vals), 0.0, vals)
+    vals = _pchip_values(g.nodes, u.values, t * g.nodes)
     return RadialFunction(g, t ** (g.N / 2.0) * vals)
 
 

@@ -15,14 +15,14 @@ moments of the local quadratic Lagrange basis,
     w_j = int_a^c  r^(N-1) l_j(r) dr,
 
 so the rule is exact on quadratics -- in particular the ball volume
-int 1 = omega_N R^N / N is reproduced to machine precision on any grid, and
-the rule is ~4th order on smooth integrands.  Whenever a pair produces a
-negative weight it is degraded to per-cell linear ("hat") weights, which are
-integrals of nonnegative functions and therefore always nonnegative.  The
-pair touching r = 0 always degrades this way: the parabolic weight at r = 0
-is negative exactly when r_1/r_2 < N/(N+2), which holds for uniform and
-origin-graded spacings alike.  The stored nodal weights absorb the r^(N-1)
-volume factor.
+int 1 = omega_N R^N / N is reproduced up to the rounding of the moments
+(see _power_diff), and the rule is ~4th order on smooth integrands.
+Whenever a pair produces a negative weight it is degraded to per-cell
+linear ("hat") weights, which are integrals of nonnegative functions and
+therefore always nonnegative.  The pair touching r = 0 always degrades this
+way: the parabolic weight at r = 0 is negative exactly when
+r_1/r_2 < N/(N+2), which holds for uniform and origin-graded spacings
+alike.  The stored nodal weights absorb the r^(N-1) volume factor.
 
 Grids may carry "barriers": radii at which the profile is allowed to have a
 kink (piecewise definitions).  Cell pairing never straddles a barrier, so the
@@ -72,9 +72,13 @@ def _check_dimension(N):
 # ----------------------------------------------------------------------------
 
 def _power_diff(a, b, p):
-    # int_a^b r^(p-1) dr * p  =  b^p - a^p, computed directly; adjacent nodes
-    # are never close enough relative to their magnitude for cancellation to
-    # matter at the tolerances used here.
+    # int_a^b r^(p-1) dr * p  =  b^p - a^p, computed directly.  Far from the
+    # origin this cancels: the difference keeps only ~ eps * b / (p (b - a))
+    # relative accuracy, and _pair_weights cancels again when it combines
+    # three moments.  Individual weights therefore carry errors well above
+    # eps (N=3 mass-normalized grid at n=16384: up to 5.6e-5 relative,
+    # median 1.7e-8, against a 60-digit reference), and its ball volume is
+    # off by ~1e-10 relative.
     return b ** p - a ** p
 
 
@@ -110,32 +114,28 @@ def _volume_weights(N, nodes, group_bounds):
     """Nodal weights w with sum_i w_i v_i ~ int_0^R r^(N-1) v(r) dr.
 
     ``group_bounds`` is the increasing list of node indices delimiting the
-    smooth groups (always starts at 0 and ends at M).
+    smooth groups (always starts at 0 and ends at M).  Pairing never depends
+    on the weights: pairs start at g0, g0+2, ... and a group with an odd
+    number of cells ends in one hat cell, so every node receives at most two
+    contributions and the order of the sums does not matter.
     """
     w = np.zeros_like(nodes)
     for g0, g1 in zip(group_bounds[:-1], group_bounds[1:]):
-        k = g0
-        while k < g1:
-            if k + 1 < g1:
-                a, b, c = nodes[k], nodes[k + 1], nodes[k + 2]
-                wa, wb, wc = _pair_weights(N, a, b, c)
-                if wa >= 0.0 and wb >= 0.0 and wc >= 0.0:
-                    w[k] += wa
-                    w[k + 1] += wb
-                    w[k + 2] += wc
-                    k += 2
-                    continue
-                # negative parabolic weight: hat weights on both cells
-                for i in (k, k + 1):
-                    ha, hb = _hat_weights(N, nodes[i], nodes[i + 1])
-                    w[i] += ha
-                    w[i + 1] += hb
-                k += 2
-                continue
-            ha, hb = _hat_weights(N, nodes[k], nodes[k + 1])
-            w[k] += ha
-            w[k + 1] += hb
-            k += 1
+        k = np.arange(g0, g1 - 1, 2)
+        a, b, c = nodes[k], nodes[k + 1], nodes[k + 2]
+        wa, wb, wc = _pair_weights(N, a, b, c)
+        # a negative parabolic weight degrades the pair to hat weights on
+        # both of its cells
+        ha0, hb0 = _hat_weights(N, a, b)
+        ha1, hb1 = _hat_weights(N, b, c)
+        ok = (wa >= 0.0) & (wb >= 0.0) & (wc >= 0.0)
+        w[k] += np.where(ok, wa, ha0)
+        w[k + 1] += np.where(ok, wb, hb0 + ha1)
+        w[k + 2] += np.where(ok, wc, hb1)
+        if (g1 - g0) % 2:
+            ha, hb = _hat_weights(N, nodes[g1 - 1], nodes[g1])
+            w[g1 - 1] += ha
+            w[g1] += hb
     return w
 
 
@@ -148,40 +148,34 @@ def _derivative_matrix(nodes):
     from scipy.sparse import csr_matrix
 
     n = len(nodes)
-    rows, cols, vals = [], [], []
+    h = np.diff(nodes)
+    h1, h2 = h[:-1], h[1:]
+    vals = np.empty((n, 3))
+    cols = np.empty((n, 3), dtype=np.intp)
 
-    h1 = nodes[1] - nodes[0]
-    h2 = nodes[2] - nodes[1]
-    rows += [0, 0, 0]
-    cols += [0, 1, 2]
-    vals += [
-        -(2 * h1 + h2) / (h1 * (h1 + h2)),
-        (h1 + h2) / (h1 * h2),
-        -h1 / (h2 * (h1 + h2)),
-    ]
+    a1, a2 = h[0], h[1]
+    vals[0] = (
+        -(2 * a1 + a2) / (a1 * (a1 + a2)),
+        (a1 + a2) / (a1 * a2),
+        -a1 / (a2 * (a1 + a2)),
+    )
+    cols[0] = (0, 1, 2)
 
-    for i in range(1, n - 1):
-        h1 = nodes[i] - nodes[i - 1]
-        h2 = nodes[i + 1] - nodes[i]
-        rows += [i, i, i]
-        cols += [i - 1, i, i + 1]
-        vals += [
-            -h2 / (h1 * (h1 + h2)),
-            (h2 - h1) / (h1 * h2),
-            h1 / (h2 * (h1 + h2)),
-        ]
+    vals[1:-1, 0] = -h2 / (h1 * (h1 + h2))
+    vals[1:-1, 1] = (h2 - h1) / (h1 * h2)
+    vals[1:-1, 2] = h1 / (h2 * (h1 + h2))
+    cols[1:-1] = np.arange(n - 2)[:, None] + np.arange(3)
 
-    g1 = nodes[-2] - nodes[-3]
-    g2 = nodes[-1] - nodes[-2]
-    rows += [n - 1, n - 1, n - 1]
-    cols += [n - 3, n - 2, n - 1]
-    vals += [
+    g1, g2 = h[-2], h[-1]
+    vals[-1] = (
         g2 / (g1 * (g1 + g2)),
         -(g1 + g2) / (g1 * g2),
         (2 * g2 + g1) / (g2 * (g1 + g2)),
-    ]
+    )
+    cols[-1] = (n - 3, n - 2, n - 1)
 
-    return csr_matrix((vals, (rows, cols)), shape=(n, n))
+    rows = np.repeat(np.arange(n), 3)
+    return csr_matrix((vals.ravel(), (rows, cols.ravel())), shape=(n, n))
 
 
 # ----------------------------------------------------------------------------
@@ -250,21 +244,16 @@ class RadialGrid:
         wherever the kinetic term appears in an energy being *optimized*.
         """
         if self._stiffness is None:
-            from scipy.sparse import csr_matrix, diags
+            from scipy.sparse import diags
 
-            n = len(self.nodes)
             dr = np.diff(self.nodes)
             # omega_N * int_cell r^(N-1) dr / dr^2, per cell
-            cell_m0 = np.array([
-                _power_diff(self.nodes[i], self.nodes[i + 1], self.N) / self.N
-                for i in range(n - 1)
-            ])
+            cell_m0 = _power_diff(self.nodes[:-1], self.nodes[1:], self.N) / self.N
             kappa = self.omega_N * cell_m0 / (dr * dr)
-            rows = np.concatenate([np.arange(n - 1), np.arange(n - 1)])
-            cols = np.concatenate([np.arange(n - 1), np.arange(1, n)])
-            vals = np.concatenate([-np.ones(n - 1), np.ones(n - 1)])
-            G = csr_matrix((vals, (rows, cols)), shape=(n - 1, n))
-            self._stiffness = (G.T @ diags(kappa) @ G).tocsr()
+            main = np.zeros(len(self.nodes))
+            main[:-1] += kappa
+            main[1:] += kappa
+            self._stiffness = diags([-kappa, main, -kappa], [-1, 0, 1], format="csr")
         return self._stiffness
 
     def same_layout(self, other):
@@ -389,16 +378,22 @@ def tail_fraction(u, s=2):
     return float((g.weights[sel] @ np.abs(u.values[sel]) ** s) / total)
 
 
-def pchip_resample(u, target_grid):
-    """Monotone-cubic resampling of u onto another grid (zero outside)."""
+def _pchip_values(nodes, values, radii):
+    """Monotone-cubic interpolant of (nodes, values) at radii, zero outside."""
     from scipy.interpolate import PchipInterpolator
 
     # flat zero tails trip harmless overflow warnings in the slope formula
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        interp = PchipInterpolator(u.grid.nodes, u.values, extrapolate=False)
-    vals = interp(target_grid.nodes)
-    vals = np.where(np.isnan(vals), 0.0, vals)
-    return RadialFunction(target_grid, vals)
+        interp = PchipInterpolator(nodes, values, extrapolate=False)
+    vals = interp(radii)
+    return np.where(np.isnan(vals), 0.0, vals)
+
+
+def pchip_resample(u, target_grid):
+    """Monotone-cubic resampling of u onto another grid (zero outside)."""
+    return RadialFunction(
+        target_grid, _pchip_values(u.grid.nodes, u.values, target_grid.nodes)
+    )
 
 
 # ----------------------------------------------------------------------------
@@ -406,21 +401,30 @@ def pchip_resample(u, target_grid):
 # ----------------------------------------------------------------------------
 
 _HEADER_RE = re.compile(
-    r"#\s*N=(?P<N>\d+)\s+R_max=(?P<R>[-+0-9.eE]+)\s+M=(?P<M>\d+)\s*$"
+    r"#\s*N=(?P<N>\d+)\s+R_max=(?P<R>[-+0-9.eE]+)\s+M=(?P<M>\d+)"
+    r"(?:\s+barriers=(?P<B>[-+0-9.eE]+(?:,[-+0-9.eE]+)*))?\s*$"
 )
 
 
 def write_csv(u, path):
-    """Two-column (r, value) CSV with the one-line grid header."""
+    """Two-column (r, value) CSV with the one-line grid header.
+
+    The header carries the grid's kink barriers, when it has any, so that
+    read_csv pairs the quadrature cells exactly as the original grid did.
+    """
     g = u.grid
+    header = f"# N={g.N} R_max={g.R_max:.17g} M={g.M}"
+    if g.barriers:
+        header += " barriers=" + ",".join(f"{b:.17g}" for b in g.barriers)
     with open(path, "w") as fh:
-        fh.write(f"# N={g.N} R_max={g.R_max:.17g} M={g.M}\n")
+        fh.write(header + "\n")
         for r, v in zip(g.nodes, u.values):
             fh.write(f"{r:.17g},{v:.17g}\n")
 
 
 def read_csv(path):
-    """Inverse of write_csv; the grid is rebuilt from the stored nodes."""
+    """Inverse of write_csv; the grid is rebuilt from the stored nodes and
+    barriers (a header without barriers gives a grid without them)."""
     with open(path) as fh:
         header = fh.readline().strip()
         m = _HEADER_RE.match(header)
@@ -431,6 +435,8 @@ def read_csv(path):
         N = int(m.group("N"))
         R = float(m.group("R"))
         M = int(m.group("M"))
+        barriers = m.group("B")
+        barriers = [float(b) for b in barriers.split(",")] if barriers else []
         data = np.loadtxt(fh, delimiter=",", ndmin=2)
     if data.shape[1] != 2:
         raise ParameterError(f"{path}: expected two columns, got {data.shape[1]}")
@@ -441,4 +447,4 @@ def read_csv(path):
         )
     if abs(nodes[-1] - R) > 1e-12 * max(1.0, R):
         raise ParameterError(f"{path}: last node {nodes[-1]} != R_max {R}")
-    return RadialFunction(grid_from_nodes(N, nodes), vals)
+    return RadialFunction(grid_from_nodes(N, nodes, barriers), vals)

@@ -421,10 +421,3 @@ def test_pure_critical_fiber_profile(N):
     assert g.max() == pytest.approx(1.0 / N, rel=1e-7)
     assert abs(ts[np.argmax(g)] - 1.0) < 1e-3
 
-
-def test_worker_env_override(monkeypatch):
-    monkeypatch.setenv("MASSNLS_WORKERS", "2")
-    assert B._workers() == 2
-    monkeypatch.setenv("MASSNLS_WORKERS", "zebra")
-    with pytest.raises(ParameterError):
-        B._workers()

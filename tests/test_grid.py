@@ -1,6 +1,7 @@
 """Quadrature, norm and finite-difference contracts of the radial grid."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from massnls import (
     read_csv,
     write_csv,
 )
+from massnls.bubbles import bubble_grid, truncated_instanton
 from massnls.grid import pchip_resample, sphere_area, tail_fraction
 
 GAUSS_3D = math.pi ** 1.5  # int_{R^3} e^{-|x|^2} dx
@@ -127,6 +129,66 @@ def test_gradient_quadratic_profile():
     assert grad_norm_sq(u) == pytest.approx(16 * math.pi / 5, rel=1e-8)
 
 
+def _exact_weights(N, nodes, bounds):
+    """The quadrature rule in exact rational arithmetic on the float nodes.
+
+    Returns the weights rounded to floats and the number of degraded pairs.
+    """
+    x = [Fraction(float(r)) for r in nodes]
+    w = [Fraction(0)] * len(x)
+    degraded = 0
+
+    def moment(a, c, k):
+        return (c ** (N + k) - a ** (N + k)) / (N + k)
+
+    def hat(i):
+        a, b = x[i], x[i + 1]
+        m0, m1 = moment(a, b, 0), moment(a, b, 1)
+        w[i] += (b * m0 - m1) / (b - a)
+        w[i + 1] += (m1 - a * m0) / (b - a)
+
+    for g0, g1 in zip(bounds[:-1], bounds[1:]):
+        k = g0
+        while k + 1 < g1:
+            a, b, c = x[k], x[k + 1], x[k + 2]
+            m0, m1, m2 = (moment(a, c, j) for j in range(3))
+            wa = (m2 - (b + c) * m1 + b * c * m0) / ((a - b) * (a - c))
+            wb = (m2 - (a + c) * m1 + a * c * m0) / ((b - a) * (b - c))
+            wc = (m2 - (a + b) * m1 + a * b * m0) / ((c - a) * (c - b))
+            if min(wa, wb, wc) >= 0:
+                w[k] += wa
+                w[k + 1] += wb
+                w[k + 2] += wc
+            else:
+                hat(k)
+                hat(k + 1)
+                degraded += 1
+            k += 2
+        if k < g1:
+            hat(k)
+    return np.array([float(v) for v in w]), degraded
+
+
+def test_weights_match_exact_rational_rule():
+    # random small grids with 0-2 barriers: odd groups end in a hat cell,
+    # and the spacing jumps make some pairs degrade to hat weights
+    rng = np.random.default_rng(20260418)
+    degraded = odd = 0
+    for _ in range(50):
+        N = int(rng.integers(3, 7))
+        n = int(rng.integers(5, 41))
+        nodes = np.concatenate([[0.0], np.cumsum(rng.uniform(0.05, 1.0, n - 1))])
+        inner = rng.choice(np.arange(1, n - 1), size=int(rng.integers(0, 3)),
+                           replace=False)
+        g = grid_from_nodes(N, nodes, barrier_radii=nodes[inner])
+        bounds = [0, *sorted(int(j) for j in inner), n - 1]
+        exact, n_degraded = _exact_weights(N, nodes, bounds)
+        assert np.max(np.abs(g.weights - exact)) <= 1e-9 * np.max(exact)
+        degraded += n_degraded > 1  # a degraded pair beyond the one at r = 0
+        odd += any((b - a) % 2 for a, b in zip(bounds[:-1], bounds[1:]))
+    assert degraded > 0 and odd > 0
+
+
 def test_barrier_respects_kink():
     # v(r) = max(0, 1 - r) on [0, 2]: int r^2 v^2 over [0,1] = 1/30
     nodes = np.linspace(0.0, 2.0, 129)
@@ -197,3 +259,42 @@ def test_csv_header_required(tmp_path):
 def test_make_grid_rejects_bad_parameters(kwargs):
     with pytest.raises(ParameterError):
         make_grid(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        make_grid(4, 3.0, 200, grading="graded", strength=2.5),
+        grid_from_nodes(3, np.linspace(0.0, 2.0, 129), barrier_radii=[0.5, 1.0]),
+    ],
+    ids=["graded", "barriers"],
+)
+def test_stiffness_of_the_radius_is_the_ball_volume(grid):
+    # u = r is linear, so its P1 interpolant is exact and |grad u| = 1:
+    # u K u = omega_N R^N / N
+    u = grid.nodes
+    want = grid.omega_N * grid.R_max ** grid.N / grid.N
+    assert float(u @ (grid.stiffness @ u)) == pytest.approx(want, rel=1e-12)
+
+
+def test_derivative_matrix_exact_on_quadratics():
+    # the 3-point stencils, one-sided ones included, are exact on r^2
+    g = grid_from_nodes(3, 4.0 * np.linspace(0.0, 1.0, 97) ** 1.7)
+    du = g.deriv @ g.nodes ** 2
+    np.testing.assert_allclose(du, 2.0 * g.nodes, rtol=1e-10, atol=1e-12)
+
+
+@pytest.mark.parametrize("case", ["bubble", "kink"])
+def test_csv_roundtrip_keeps_barriers(tmp_path, case):
+    if case == "bubble":
+        u = truncated_instanton(3, 12, bubble_grid(3, 12, 60, (1, 2)))
+    else:
+        nodes = np.linspace(0.0, 2.0, 128)
+        g = grid_from_nodes(3, nodes, [nodes[63]])
+        u = RadialFunction(g, np.clip(nodes[63] - nodes, 0.0, None))
+    path = tmp_path / "u.csv"
+    write_csv(u, path)
+    v = read_csv(path)
+    assert v.grid.barriers == u.grid.barriers != ()
+    assert np.array_equal(v.grid.weights, u.grid.weights)
+    assert np.array_equal(v.values, u.values)
