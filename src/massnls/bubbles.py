@@ -26,9 +26,9 @@ from math import comb
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.optimize import brentq
+from scipy.optimize import brentq, minimize_scalar
 
-from .constants import instanton_amplitude, sobolev_constant, thresholds
+from .constants import instanton_amplitude, sobolev_constant
 from .errors import (
     BracketError,
     HypothesisError,
@@ -38,6 +38,7 @@ from .errors import (
 )
 from .functionals import (
     NormBundle,
+    _check_mu_below_alpha,
     energy,
     fiber_energy,
     problem,
@@ -552,14 +553,14 @@ def superpose(u_c, U_n, t, c=None):
     return RadialFunction(scaled, tau ** ((g.N - 2) / 2.0) * v)
 
 
-def _build_cross(p, u_c, U_n, c=None):
+def _build_cross(p, u_c, U_n, c):
     """The pieces of u_c + t U_n that the superposition norms need at every t.
 
     Mass and stiffness form are quadratic in t, so three coefficients each
     (two sparse matvecs, six dot products on the shared grid) fix them for
     every t.  The Lebesgue norms are not polynomial in t; the "lebesgue"
     callable takes them, with the direct mass, in one O(M) pass per t.
-    c is the target mass of W(t); it defaults to the mass of u_c.
+    c is the target mass of W(t).
     """
     if not u_c.grid.same_layout(U_n.grid):
         raise ParameterError("the superposition needs both profiles on one grid")
@@ -567,7 +568,6 @@ def _build_cross(p, u_c, U_n, c=None):
     W = g.omega_N * g.weights
     u, U = u_c.values, U_n.values
     Ku = g.stiffness @ u
-    m_a = float(W @ (u * u))
 
     def lebesgue(t):
         v = u + t * U
@@ -575,8 +575,8 @@ def _build_cross(p, u_c, U_n, c=None):
         return float(W @ (v * v)), float(W @ av ** p.q), float(W @ av ** p.two_star)
 
     return {
-        "c": m_a if c is None else float(c),
-        "m_a": m_a,
+        "c": float(c),
+        "m_a": float(W @ (u * u)),
         "m_x": float(W @ (u * U)),
         "m_b": float(W @ (U * U)),
         "g_a": float(u @ Ku),
@@ -632,73 +632,66 @@ class ScanResult:
         return [r.n for r in self.records if r.passed]
 
 
-def _default_t_grid():
-    return np.geomspace(1e-3, 1e3, 400)
+# coarse grid of superposition weights; the sup over t is refined from its
+# argmax in s = log t
+_T_GRID = np.geomspace(1e-3, 1e3, 25)
 
 
-def _golden_refine(f, lo, hi, iters=60):
-    """Golden-section maximization of a unimodal scalar function."""
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(iters):
-        if f1 >= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = f(x2)
-    xs = 0.5 * (a + b)
-    return xs, f(xs)
-
-
-def _sup_over_t(eval_phi, t_grid):
-    vals = np.array([eval_phi(t) for t in t_grid])
-    k = int(np.argmax(vals))
-    lo = t_grid[max(0, k - 1)]
-    hi = t_grid[min(len(t_grid) - 1, k + 1)]
-    t_best, v_best = _golden_refine(eval_phi, lo, hi)
-    if vals[k] > v_best:
-        t_best, v_best = float(t_grid[k]), float(vals[k])
-    return t_best, v_best
-
-
-def threshold_scan_subcritical(p, u_c, n_list, t_grid=None):
+def threshold_scan_subcritical(p, u_c, n_list):
     """Mountain-pass threshold scan for the mass-subcritical regime.
 
-    For each n the truncated bubble is superposed with the valley profile
-    u_c and the energy sup over the superposition weight t is compared
-    against Phi(u_c) + S^(N/2)/N.  Records are returned in n order together
+    For each n the truncated bubble U_n is superposed with the valley
+    profile u_c, which must lie on the mass sphere c = p.c (to 1e-6
+    relative).  W(t) is the mass-c dilation of u_c + t U_n, and the sup
+    over t of its energy is compared against Phi(u_c) + S^(N/2)/N.  The sup
+    is taken on 25 log-spaced weights in [1e-3, 1e3], then refined by one
+    bounded Brent maximization in s = log t over the two cells around the
+    grid argmax.  An n whose grid argmax is an end of that range has no
+    interior maximum in it and gives a diagnostic non-passing row (sup_t
+    NaN, the reason in `note`).  Records are returned in n order together
     with the first passing n (if any).
     """
-    if p.q >= p.q_bar - 1e-12:
+    if not p.mass_subcritical:
         raise HypothesisError("the superposition scan applies below q = 2+4/N")
-    t_grid = _default_t_grid() if t_grid is None else np.asarray(t_grid, dtype=float)
+    if abs(mass(u_c) - p.c) > 1e-6 * p.c:
+        raise ParameterError(f"u_c mass {mass(u_c):g} is off the target sphere c = {p.c:g}")
     sob = sobolev_constant(p.N)
     m_c = energy(u_c, p)
     threshold = m_c + sob.S_pow / p.N
     n_list = sorted(int(n) for n in n_list)
+    s_grid = np.log(_T_GRID)
+    nan = float("nan")
 
     def record(n):
         R_max = max(u_c.grid.R_max, 2.0)
         g = bubble_grid(p.N, n, R_max, barrier_radii=(1.0, 2.0))
         uc_g = pchip_resample(u_c, g)
         U = truncated_instanton(p.N, n, g)
-        cross = _build_cross(p, uc_g, U)
+        cross = _build_cross(p, uc_g, U, c=p.c)
 
         def phi(t):
             nb = _superposition_bundle(p, cross, t)
             return float(fiber_energy(nb, p, 1.0))
 
-        t_best, sup_v = _sup_over_t(phi, t_grid)
+        vals = [phi(t) for t in _T_GRID]
+        k = int(np.argmax(vals))
+        if k in (0, len(_T_GRID) - 1):
+            return ScanRecord(
+                n, nan, nan, nan, nan, nan, threshold, False, nan,
+                note=f"the energy of W(t) peaks at the end t = {_T_GRID[k]:g} of "
+                f"[{_T_GRID[0]:g}, {_T_GRID[-1]:g}]; no interior maximum",
+            )
+        res = minimize_scalar(
+            lambda s: -phi(np.exp(s)), bounds=(s_grid[k - 1], s_grid[k + 1]),
+            method="bounded", options={"xatol": 1e-10},
+        )
+        t_best, sup_v = float(np.exp(res.x)), -float(res.fun)
+        if vals[k] > sup_v:
+            t_best, sup_v = float(_T_GRID[k]), vals[k]
         nb = _superposition_bundle(p, cross, t_best)
         return ScanRecord(
             n, float(nb.mass), float(nb.grad_sq), float(nb.lcrit), float(nb.lq),
-            float(sup_v), threshold, bool(sup_v < threshold), float(t_best),
+            sup_v, threshold, bool(sup_v < threshold), t_best,
         )
 
     records = [record(n) for n in n_list]
@@ -714,15 +707,9 @@ def threshold_scan_critical(p, n_list):
     where the family does not exist or its fiber has no maximum gives a
     diagnostic non-passing row (sup_t NaN, the reason in `note`).
     """
-    if p.q < p.q_bar - 1e-12:
+    if p.mass_subcritical:
         raise HypothesisError("the dilation scan applies at and above q = 2+4/N")
-    if p.mu > 0.0 and p.mass_critical:
-        rep = thresholds(p.N, p.q, p.mu, p.c)
-        if rep.alpha_Nq is not None and np.isfinite(rep.alpha_Nq) and p.mu >= rep.alpha_Nq:
-            raise HypothesisError(
-                f"mu = {p.mu} is not below the admissible bound {rep.alpha_Nq} "
-                f"at the mass-critical exponent"
-            )
+    _check_mu_below_alpha(p)
     sob = sobolev_constant(p.N)
     threshold = sob.S_pow / p.N
     n_list = sorted(int(n) for n in n_list)

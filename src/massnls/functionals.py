@@ -29,7 +29,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .constants import ExponentPack, exponents
+from .constants import ExponentPack, exponents, thresholds
 from .errors import HypothesisError, ParameterError
 from .grid import RadialFunction, _pchip_values, grad_norm_sq, mass, norms, tail_fraction
 
@@ -98,6 +98,17 @@ def problem(N, c, mu, q):
     if mu < 0.0:
         raise ParameterError(f"mu must be nonnegative, got {mu}")
     return ProblemParams(ep.N, float(c), float(mu), ep.q, ep)
+
+
+def _check_mu_below_alpha(p):
+    """At q = 2+4/N a positive mu must lie below alpha(N, q); raise otherwise."""
+    if p.mu > 0.0 and p.mass_critical:
+        alpha = thresholds(p.N, p.q, p.mu, p.c).alpha_Nq
+        if p.mu >= alpha:
+            raise HypothesisError(
+                f"mu = {p.mu} is not below the admissible bound {alpha} "
+                f"at the mass-critical exponent"
+            )
 
 
 @dataclass(frozen=True)
@@ -269,7 +280,7 @@ def dilation_gap(u, p, t):
     computed from the norms of u (no resampling enters).  Nonnegative for
     q >= 2+4/N; identically zero at q = 2+4/N and at mu = 0.
     """
-    if p.q < p.q_bar - 1e-12:
+    if p.mass_subcritical:
         raise HypothesisError(
             f"dilation comparison needs q >= 2+4/N = {p.q_bar}; got q = {p.q}"
         )

@@ -243,7 +243,7 @@ def fiber_critical_points(u, p):
 
 def manifold_projection(u, p):
     """The unique maximal fiber critical point for q >= 2+4/N."""
-    if p.q < p.q_bar - 1e-12:
+    if p.mass_subcritical:
         raise HypothesisError(
             "the fiber maximum is only the manifold projection for q >= 2+4/N"
         )

@@ -22,6 +22,7 @@ from .errors import (
     ScanExhaustedError,
 )
 from .functionals import (
+    _check_mu_below_alpha,
     _energy_gradient,
     energy_report,
     fiber_energy,
@@ -56,15 +57,12 @@ class SolveOptions:
     max_iters: int = 2000
     step0: float = 1.0
     grad_tol: float = 1e-8
-    v_cap: float | None = None   # gradient-norm cap; defaults to rho0(c)
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise ParameterError(f"max_iters must be >= 1, got {self.max_iters}")
         if not self.step0 > 0.0 or not self.grad_tol > 0.0:
             raise ParameterError("step0 and grad_tol must be positive")
-        if self.v_cap is not None and not self.v_cap > 0.0:
-            raise ParameterError(f"v_cap must be positive, got {self.v_cap}")
 
 
 @dataclass
@@ -313,7 +311,7 @@ def local_minimize(p, init, opts=None):
             f"mass c = {p.c:g} is not below the critical mass c0 = {rep.c0:g}; "
             "the local-minimization zone is empty"
         )
-    cap = rep.rho0 if opts.v_cap is None else opts.v_cap
+    cap = rep.rho0
 
     g = init.grid
     if abs(mass(init) - p.c) > 1e-6 * p.c:
@@ -376,13 +374,7 @@ def ground_state_minimax(p, init, opts=None):
     opts = SolveOptions() if opts is None else opts
     if p.mass_subcritical:
         raise HypothesisError("ground_state_minimax requires q >= 2 + 4/N")
-    if p.mu > 0.0 and p.mass_critical:
-        rep = thresholds(p.N, p.q, p.mu, p.c)
-        if rep.alpha_Nq is not None and np.isfinite(rep.alpha_Nq) and p.mu >= rep.alpha_Nq:
-            raise HypothesisError(
-                f"mu = {p.mu} is not below the admissible bound {rep.alpha_Nq} "
-                f"at the mass-critical exponent"
-            )
+    _check_mu_below_alpha(p)
     g = init.grid
     if abs(mass(init) - p.c) > 1e-6 * p.c:
         raise ParameterError(

@@ -13,8 +13,8 @@ from massnls.errors import (
     ParameterError,
     ResolutionError,
 )
-from massnls.functionals import energy, normalize_mass, problem, stiff_bundle
-from massnls.grid import RadialFunction, make_grid, mass, norms
+from massnls.functionals import energy, fiber_energy, normalize_mass, problem, stiff_bundle
+from massnls.grid import RadialFunction, make_grid, mass, norms, pchip_resample
 
 
 def _stiff(u):
@@ -281,7 +281,7 @@ def test_superpose_bundle_matches_direct_norms():
     # honestly constructed profile
     g, u_c, U = _scan_inputs()
     p = problem(3, 2.0, 1.0, 2.5)
-    cross = B._build_cross(p, u_c, U)
+    cross = B._build_cross(p, u_c, U, c=2.0)
     for t in (0.1, 1.0, 7.0):
         nb = B._superposition_bundle(p, cross, t)
         W = B.superpose(u_c, U, t, c=2.0)
@@ -335,6 +335,59 @@ def test_subcritical_scan_sup_decreases_with_mu():
         res = B.threshold_scan_subcritical(problem(3, c, mu, 2.5), u_c, [32])
         sups.append(res.records[0].sup_t)
     assert sups[0] > sups[1] > sups[2]
+
+
+def _dense_sup(p, u_c, n, ts):
+    # phi(t) on the scan's own grid and cross terms, at the weights ts
+    g = B.bubble_grid(3, n, max(u_c.grid.R_max, 2.0), barrier_radii=(1.0, 2.0))
+    cross = B._build_cross(p, pchip_resample(u_c, g), B.truncated_instanton(3, n, g), c=p.c)
+    return max(fiber_energy(B._superposition_bundle(p, cross, t), p, 1.0) for t in ts)
+
+
+def test_subcritical_scan_sup_is_the_fiber_maximum():
+    c = 0.5 * C0_3_25_1
+    p = problem(3, c, 1.0, 2.5)
+    u_c = _valley(c)
+    r = B.threshold_scan_subcritical(p, u_c, [32]).records[0]
+    dense = _dense_sup(p, u_c, 32, np.geomspace(1e-3, 1e3, 2000))
+    assert r.sup_t >= dense - 1e-12 * abs(dense)
+    # the refinement lands on the maximum, not beside it
+    assert r.sup_t == pytest.approx(_dense_sup(p, u_c, 32, [r.t_at_sup]), rel=1e-15)
+
+
+def test_subcritical_scan_records_lie_on_the_mass_sphere():
+    c = 0.5 * C0_3_25_1
+    p = problem(3, c, 1.0, 2.5)
+    res = B.threshold_scan_subcritical(p, _valley(c), [8, 64, 256])
+    for r in res.records:
+        assert abs(r.mass - c) <= 1e-12 * c
+
+
+def test_subcritical_scan_rejects_off_sphere_valley():
+    c = 0.5 * C0_3_25_1
+    u_c = _valley(c)
+    off = RadialFunction(u_c.grid, 1.01 * u_c.values)
+    with pytest.raises(ParameterError, match="off the target sphere"):
+        B.threshold_scan_subcritical(problem(3, c, 1.0, 2.5), off, [8])
+
+
+@pytest.mark.parametrize("mu", [0.5, 1.0])
+def test_subcritical_scan_row_without_interior_maximum(monkeypatch, mu):
+    # a bubble of amplitude 1e-9 matters only at t ~ 1e9, beyond the range of
+    # t, so the energy of W(t) peaks at an end of it: t = 1e3 at mu = 0.5,
+    # t = 1e-3 at mu = 1
+    truncated = B.truncated_instanton
+    monkeypatch.setattr(
+        B, "truncated_instanton",
+        lambda N, n, g: RadialFunction(g, 1e-9 * truncated(N, n, g).values),
+    )
+    c = 0.5 * C0_3_25_1
+    res = B.threshold_scan_subcritical(problem(3, c, mu, 2.5), _valley(c), [32])
+    r = res.records[0]
+    assert not r.passed
+    assert res.first_pass is None
+    assert np.isnan(r.sup_t) and np.isnan(r.t_at_sup)
+    assert "no interior maximum" in r.note
 
 
 def test_subcritical_scan_needs_subcritical_exponent():

@@ -63,7 +63,6 @@ def test_options_defaults():
     assert o.max_iters == 2000
     assert o.step0 == 1.0
     assert o.grad_tol == 1e-8
-    assert o.v_cap is None
 
 
 @pytest.mark.parametrize(
@@ -73,7 +72,6 @@ def test_options_defaults():
         dict(step0=0.0),
         dict(step0=-1.0),
         dict(grad_tol=0.0),
-        dict(v_cap=-2.0),
     ],
 )
 def test_options_reject_bad_fields(kw):
@@ -193,13 +191,6 @@ def test_valley_rejects_start_outside_the_well():
     spike = normalize_mass(RadialFunction(g, np.exp(-((g.nodes / 0.05) ** 2))), p.c)
     with pytest.raises(ParameterError, match="start inside"):
         local_minimize(p, spike)
-
-
-def test_valley_honors_explicit_cap():
-    p, rpt = _valley()
-    tight = SolveOptions(v_cap=1e-3)
-    with pytest.raises(ParameterError, match="start inside"):
-        local_minimize(p, gaussian_valley_init(p), opts=tight)
 
 
 def test_small_mu_levels_follow_the_soliton_dilation_law():
