@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
+import scipy.integrate
 from hypothesis import given, settings, strategies as st
 
 from massnls import ParameterError, RadialFunction, grad_norm_sq, make_grid, norms
+from massnls import constants
 from massnls.constants import (
+    _shoot,
     exponents,
     gn_constant,
     gn_ground_state,
@@ -122,6 +125,35 @@ def test_gn_memoized():
     a = gn_ground_state(3, 4.0)
     b = gn_ground_state(3, 4.0)
     assert a is b
+
+
+def test_gn_shot_counter_counts_every_integration(monkeypatch):
+    # a fresh cache forces a cold solve; every shot is one solve_ivp call
+    monkeypatch.setattr(constants, "_GN_CACHE", {})
+    calls = []
+    solve_ivp = scipy.integrate.solve_ivp
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve_ivp(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.integrate, "solve_ivp", counted)
+    gs = gn_ground_state(3, 2.5)
+    assert gs.shots == len(calls)
+    # bracketing, at least one bisection step and the final shot
+    assert gs.shots > len(gs.history) + 1
+
+
+@pytest.mark.parametrize("N,q", [(3, 2.5), (4, 3.0), (3, 4.0)])
+def test_gn_final_bracket_straddles_the_height(N, q):
+    gs = gn_ground_state(N, q)
+    lo, hi = gs.bracket
+    assert lo < gs.height < hi
+    assert hi - lo <= 1e-13 * hi
+    # the integrator's verdicts at the bracket ends: overshoot above,
+    # no crossing below
+    assert _shoot(N, q, hi)[0] == "cross"
+    assert _shoot(N, q, lo)[0] != "cross"
 
 
 def test_gn_two_routes_agree():
