@@ -84,12 +84,10 @@ from .bubbles import (
     truncated_norms_model,
 )
 from .solvers import (
-    DeformationTrajectory,
     MountainPassReport,
     SolutionReport,
     SolveOptions,
     concentration_init,
-    deformation_flow_demo,
     gaussian_valley_init,
     ground_state_minimax,
     local_minimize,
@@ -99,5 +97,4 @@ from .conditions import (
     ConditionReport,
     Verdict,
     check_conditions,
-    nonlinearity_from_expression,
 )

@@ -302,10 +302,11 @@ def _normalized_mass_model(N, n, R):
 
 
 def normalized_norms_model(N, c, n):
-    """Exact (mass, grad_sq, lcrit, lq=None placeholder) of the mass-c family.
+    """Exact norms of the mass-c family member with concentration n.
 
-    Returns a dict with mass/grad_sq/lcrit plus a callable lq(q); R_n is
-    solved internally.
+    Returns a dict with the solved cutoff radius ``R_n``, the floats
+    ``mass``, ``grad_sq`` and ``lcrit``, and a callable ``lq(q)`` giving
+    ||u||_q^q.
     """
     A = instanton_amplitude(N)
     om = sphere_area(N)

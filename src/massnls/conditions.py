@@ -24,7 +24,6 @@ __all__ = [
     "Verdict",
     "ConditionReport",
     "check_conditions",
-    "nonlinearity_from_expression",
 ]
 
 #: magnitude below which a sampled ratio counts as having vanished
@@ -485,83 +484,3 @@ def check_conditions(f, N, kappa, t_samples=None):
         ratios=ratios,
     )
 
-
-# ----------------------------------------------------------------------------
-# expression parsing for the command line
-# ----------------------------------------------------------------------------
-
-_ALLOWED_FUNCS = {"Abs", "exp", "log", "sqrt", "sign"}
-
-
-def nonlinearity_from_expression(expr):
-    """Build a GeneralNonlinearity from a one-variable expression in t.
-
-    The grammar is deliberately small: numbers, t, + - * / **, parentheses,
-    and the functions abs, exp, log, sqrt, sign.  Anything else -- stray
-    symbols, other function names -- is rejected.  The primitive F is the
-    symbolic antiderivative normalized to F(0) = 0 when one exists in
-    closed form; otherwise F falls back to adaptive quadrature of f.
-    """
-    import sympy as sp
-
-    t = sp.Symbol("t", real=True)
-    local = {
-        "t": t,
-        "abs": sp.Abs,
-        "Abs": sp.Abs,
-        "exp": sp.exp,
-        "log": sp.log,
-        "sqrt": sp.sqrt,
-        "sign": sp.sign,
-    }
-    # the tokenizer's own rewrites need the core constructors; nothing else
-    # from sympy's namespace is reachable
-    core = {
-        "Integer": sp.Integer,
-        "Float": sp.Float,
-        "Rational": sp.Rational,
-        "Symbol": sp.Symbol,
-        "Function": sp.Function,
-    }
-    try:
-        fe = sp.parse_expr(str(expr), local_dict=local, global_dict=core)
-    except Exception as exc:  # sympy raises a zoo of parse errors
-        raise ParameterError(f"could not parse expression {expr!r}: {exc}") from exc
-    extra = fe.free_symbols - {t}
-    if extra:
-        names = ", ".join(sorted(str(s) for s in extra))
-        raise ParameterError(
-            f"expression may only use the variable t; found {names}"
-        )
-    for fn in fe.atoms(sp.Function):
-        if fn.func.__name__ not in _ALLOWED_FUNCS:
-            raise ParameterError(
-                f"function {fn.func.__name__!r} is not in the allowed set "
-                f"{sorted(_ALLOWED_FUNCS)}"
-            )
-
-    f_call = sp.lambdify(t, fe, modules="numpy")
-
-    F_call = None
-    try:
-        Fe = sp.integrate(fe, t)
-        if not Fe.has(sp.Integral):
-            F0 = Fe.subs(t, 0)
-            if F0.is_finite:
-                Fe = sp.simplify(Fe - F0)
-                F_call = sp.lambdify(t, Fe, modules="numpy")
-    except Exception:
-        F_call = None  # quadrature fallback in GeneralNonlinearity
-
-    def f_vec(x):
-        out = np.asarray(f_call(np.asarray(x, dtype=float)), dtype=float)
-        return out if out.ndim else float(out)
-
-    if F_call is None:
-        return GeneralNonlinearity(f_vec, None, label=str(expr))
-
-    def F_vec(x):
-        out = np.asarray(F_call(np.asarray(x, dtype=float)), dtype=float)
-        return out if out.ndim else float(out)
-
-    return GeneralNonlinearity(f_vec, F_vec, label=str(expr))

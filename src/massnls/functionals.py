@@ -312,16 +312,12 @@ class GeneralNonlinearity:
     """A nonlinearity f with primitive F (F(0) = 0).
 
     If F is not supplied it is computed by adaptive quadrature of f, which is
-    accurate but slow; supply the closed form when you have it.  The growth
-    fields record the declared power behaviour of f near 0 and infinity
-    (f ~ t^growth), used only as metadata by callers.
+    accurate but slow; supply the closed form when you have it.
     """
 
     f: callable
     F: callable | None = None
     label: str = ""
-    growth_at_zero: float | None = None
-    growth_at_infinity: float | None = None
 
     def primitive(self, t):
         if self.F is not None:
@@ -370,13 +366,7 @@ def power_nonlinearity(p):
         out = mu * at ** q / q + at ** ts / ts
         return out if out.ndim else float(out)
 
-    return GeneralNonlinearity(
-        f,
-        F,
-        label=f"mu|t|^{q - 2}t + |t|^{ts - 2}t",
-        growth_at_zero=q - 1.0,
-        growth_at_infinity=ts - 1.0,
-    )
+    return GeneralNonlinearity(f, F, label=f"mu|t|^{q - 2}t + |t|^{ts - 2}t")
 
 
 def pohozaev_general(u, nl, N=None):

@@ -15,8 +15,10 @@ moments of the local quadratic Lagrange basis,
     w_j = int_a^c  r^(N-1) l_j(r) dr,
 
 so the rule is exact on quadratics -- in particular the ball volume
-int 1 = omega_N R^N / N is reproduced up to the rounding of the moments
-(see _power_diff), and the rule is ~4th order on smooth integrands.
+int 1 = omega_N R^N / N is reproduced up to the rounding of the moments,
+and the rule is ~4th order on smooth integrands.  The moments are taken in
+the offset from the pair's left node, which keeps them free of cancellation
+far from the origin.
 Whenever a pair produces a negative weight it is degraded to per-cell
 linear ("hat") weights, which are integrals of nonnegative functions and
 therefore always nonnegative.  The pair touching r = 0 always degrades this
@@ -71,43 +73,44 @@ def _check_dimension(N):
 # weight construction
 # ----------------------------------------------------------------------------
 
-def _power_diff(a, b, p):
-    # int_a^b r^(p-1) dr * p  =  b^p - a^p, computed directly.  Far from the
-    # origin this cancels: the difference keeps only ~ eps * b / (p (b - a))
-    # relative accuracy, and _pair_weights cancels again when it combines
-    # three moments.  Individual weights therefore carry errors well above
-    # eps (N=3 mass-normalized grid at n=16384: up to 5.6e-5 relative,
-    # median 1.7e-8, against a 60-digit reference), and its ball volume is
-    # off by ~1e-10 relative.
-    return b ** p - a ** p
+def _moments(N, a, h):
+    """m_k = int_0^h s^k (a + s)^(N-1) ds for k = 0, 1, 2, in the offset s.
 
-
-def _moments(N, a, c):
-    """(m0, m1, m2) with m_k = int_a^c r^(N-1+k) dr."""
+    A generator, so a caller that needs only m0 (the stiffness) pays for m0
+    alone.  Expanding (a + s)^(N-1) binomially makes every term positive, so
+    each moment is accurate to a few eps however far [a, a + h] lies from
+    the origin; forming c^p - a^p in the global radius instead would cancel.
+    """
+    a_pow = [1.0]
+    for _ in range(N - 1):
+        a_pow.append(a_pow[-1] * a)
+    h_pow = [h]  # h_pow[i] = h^(i+1)
+    for _ in range(N + 1):
+        h_pow.append(h_pow[-1] * h)
     return (
-        _power_diff(a, c, N) / N,
-        _power_diff(a, c, N + 1) / (N + 1),
-        _power_diff(a, c, N + 2) / (N + 2),
+        sum(a_pow[N - 1 - j] * h_pow[j + k] * (math.comb(N - 1, j) / (j + k + 1))
+            for j in range(N))
+        for k in range(3)
     )
 
 
 def _pair_weights(N, a, b, c):
     """Exact-moment weights of the quadratic rule on the cell pair [a, c]."""
-    m0, m1, m2 = _moments(N, a, c)
-    wa = (m2 - (b + c) * m1 + b * c * m0) / ((a - b) * (a - c))
-    wb = (m2 - (a + c) * m1 + a * c * m0) / ((b - a) * (b - c))
-    wc = (m2 - (a + b) * m1 + a * b * m0) / ((c - a) * (c - b))
+    d, h = b - a, c - a
+    m0, m1, m2 = _moments(N, a, h)
+    # the Lagrange basis at the local nodes 0, d, h
+    wa = (m2 - (d + h) * m1 + d * h * m0) / (d * h)
+    wb = (m2 - h * m1) / (d * (d - h))
+    wc = (m2 - d * m1) / (h * (h - d))
     return wa, wb, wc
 
 
 def _hat_weights(N, a, b):
     """Exact-moment weights of the linear rule on the single cell [a, b]."""
-    m0 = _power_diff(a, b, N) / N
-    m1 = _power_diff(a, b, N + 1) / (N + 1)
-    # int (b - r)/(b - a) r^(N-1) dr  and  int (r - a)/(b - a) r^(N-1) dr
-    wa = (b * m0 - m1) / (b - a)
-    wb = (m1 - a * m0) / (b - a)
-    return wa, wb
+    h = b - a
+    m0, m1, _ = _moments(N, a, h)
+    # int (h - s)/h (a + s)^(N-1) ds  and  int s/h (a + s)^(N-1) ds
+    return m0 - m1 / h, m1 / h
 
 
 def _volume_weights(N, nodes, group_bounds):
@@ -126,12 +129,13 @@ def _volume_weights(N, nodes, group_bounds):
         wa, wb, wc = _pair_weights(N, a, b, c)
         # a negative parabolic weight degrades the pair to hat weights on
         # both of its cells
-        ha0, hb0 = _hat_weights(N, a, b)
-        ha1, hb1 = _hat_weights(N, b, c)
-        ok = (wa >= 0.0) & (wb >= 0.0) & (wc >= 0.0)
-        w[k] += np.where(ok, wa, ha0)
-        w[k + 1] += np.where(ok, wb, hb0 + ha1)
-        w[k + 2] += np.where(ok, wc, hb1)
+        bad = (wa < 0.0) | (wb < 0.0) | (wc < 0.0)
+        ha0, hb0 = _hat_weights(N, a[bad], b[bad])
+        ha1, hb1 = _hat_weights(N, b[bad], c[bad])
+        wa[bad], wb[bad], wc[bad] = ha0, hb0 + ha1, hb1
+        w[k] += wa
+        w[k + 1] += wb
+        w[k + 2] += wc
         if (g1 - g0) % 2:
             ha, hb = _hat_weights(N, nodes[g1 - 1], nodes[g1])
             w[g1 - 1] += ha
@@ -248,7 +252,7 @@ class RadialGrid:
 
             dr = np.diff(self.nodes)
             # omega_N * int_cell r^(N-1) dr / dr^2, per cell
-            cell_m0 = _power_diff(self.nodes[:-1], self.nodes[1:], self.N) / self.N
+            cell_m0 = next(_moments(self.N, self.nodes[:-1], dr))
             kappa = self.omega_N * cell_m0 / (dr * dr)
             main = np.zeros(len(self.nodes))
             main[:-1] += kappa

@@ -1,7 +1,6 @@
 """Constrained descent on the mass sphere: the local minimizer inside the
 gradient-norm well, the minimax ground state through the fiber-maximum
-envelope, the dilation mountain-pass path, and a finite-dimensional
-deformation-flow demonstrator.
+envelope, and the dilation mountain-pass path.
 
 All solvers retract to the sphere by exact mass renormalization after every
 step, so the constraint is satisfied to roundoff at each iterate.  Search
@@ -43,8 +42,6 @@ __all__ = [
     "concentration_init",
     "MountainPassReport",
     "mountain_pass_path",
-    "DeformationTrajectory",
-    "deformation_flow_demo",
 ]
 
 
@@ -490,96 +487,3 @@ def mountain_pass_path(p, u_minus, bubble, t_grid=None):
         mass_err_max=float(mass_err),
     )
 
-
-# ----------------------------------------------------------------------------
-# deformation flow on the finite-dimensional sphere
-# ----------------------------------------------------------------------------
-
-def _toy_functional(name, dim):
-    if name == "height":
-        e = np.zeros(dim)
-        e[-1] = 1.0
-        return (lambda x: float(x[-1])), (lambda x: e.copy())
-    if name == "quadratic":
-        a = np.arange(1.0, dim + 1.0)
-        return (lambda x: 0.5 * float(a @ (x * x))), (lambda x: a * x)
-    if name == "double_well":
-        def f(x):
-            return float((x[-1] ** 2 - 0.5) ** 2)
-
-        def df(x):
-            out = np.zeros_like(x)
-            out[-1] = 4.0 * x[-1] * (x[-1] ** 2 - 0.5)
-            return out
-
-        return f, df
-    raise ParameterError(
-        f"unknown toy functional {name!r}; "
-        "choose from height, quadratic, double_well"
-    )
-
-
-@dataclass
-class DeformationTrajectory:
-    functional: str
-    step: float
-    points: np.ndarray         # (steps+1, dim)
-    values: np.ndarray         # functional along the flow
-    norms: np.ndarray          # |x_k| (sphere conservation check)
-    grad_norms: np.ndarray     # |W(x_k)| of the projected gradient
-    displacement: np.ndarray   # cumulative sum of |x_{k+1} - x_k|
-
-
-def deformation_flow_demo(dim, functional, start, duration=5.0, step=1e-2):
-    """Discrete pseudo-gradient flow on the unit sphere S^(dim-1).
-
-    Integrates x <- normalize(x - step * W(x)) with W the tangentially
-    projected Euclidean gradient, the finite-dimensional caricature of the
-    deformation flow: the sphere norm is conserved exactly by the
-    renormalization, the functional value never increases, and each move is
-    bounded by step * |W| (renormalizing a point of norm >= 1 only shortens
-    the hop), so the total displacement is bounded by step * sum |W|.
-    """
-    if dim < 2:
-        raise ParameterError(f"the sphere demo needs dim >= 2, got {dim}")
-    if not step > 0.0 or not duration > 0.0:
-        raise ParameterError("duration and step must be positive")
-    x = np.asarray(start, dtype=float).copy()
-    if x.shape != (dim,):
-        raise ParameterError(f"start must have shape ({dim},), got {x.shape}")
-    r = float(np.linalg.norm(x))
-    if abs(r - 1.0) > 1e-8:
-        raise ParameterError(f"start lies off the unit sphere: |x| = {r!r}")
-    x /= r
-
-    f, df = _toy_functional(functional, dim)
-    n_steps = max(1, int(round(duration / step)))
-    points = np.empty((n_steps + 1, dim))
-    values = np.empty(n_steps + 1)
-    norms_ = np.empty(n_steps + 1)
-    grad_norms = np.empty(n_steps + 1)
-    moved = np.zeros(n_steps + 1)
-
-    for k in range(n_steps + 1):
-        points[k] = x
-        values[k] = f(x)
-        norms_[k] = np.linalg.norm(x)
-        gradient = df(x)
-        w = gradient - float(gradient @ x) * x
-        grad_norms[k] = np.linalg.norm(w)
-        if k == n_steps:
-            break
-        y = x - step * w
-        y /= np.linalg.norm(y)
-        moved[k + 1] = moved[k] + np.linalg.norm(y - x)
-        x = y
-
-    return DeformationTrajectory(
-        functional=functional,
-        step=step,
-        points=points,
-        values=values,
-        norms=norms_,
-        grad_norms=grad_norms,
-        displacement=moved,
-    )

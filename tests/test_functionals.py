@@ -243,8 +243,6 @@ def test_power_nonlinearity_primitive_pair():
     assert nl.primitive(0.0) == 0.0
     assert nl.f(0.0) == 0.0
     assert nl.primitive_defect(np.linspace(0.05, 2.0, 25)) < 1e-6
-    assert nl.growth_at_zero == pytest.approx(p.q - 1.0)
-    assert nl.growth_at_infinity == pytest.approx(p.two_star - 1.0)
 
 
 def test_quadrature_primitive_matches_closed_form():

@@ -169,6 +169,14 @@ def _exact_weights(N, nodes, bounds):
     return np.array([float(v) for v in w]), degraded
 
 
+def _assert_weights_match_exact(N, nodes, inner=()):
+    g = grid_from_nodes(N, nodes, barrier_radii=nodes[list(inner)])
+    bounds = [0, *sorted(int(j) for j in inner), len(nodes) - 1]
+    exact, n_degraded = _exact_weights(N, nodes, bounds)
+    assert np.max(np.abs(g.weights - exact)) <= 1e-9 * np.max(exact)
+    return bounds, n_degraded
+
+
 def test_weights_match_exact_rational_rule():
     # random small grids with 0-2 barriers: odd groups end in a hat cell,
     # and the spacing jumps make some pairs degrade to hat weights
@@ -180,13 +188,15 @@ def test_weights_match_exact_rational_rule():
         nodes = np.concatenate([[0.0], np.cumsum(rng.uniform(0.05, 1.0, n - 1))])
         inner = rng.choice(np.arange(1, n - 1), size=int(rng.integers(0, 3)),
                            replace=False)
-        g = grid_from_nodes(N, nodes, barrier_radii=nodes[inner])
-        bounds = [0, *sorted(int(j) for j in inner), n - 1]
-        exact, n_degraded = _exact_weights(N, nodes, bounds)
-        assert np.max(np.abs(g.weights - exact)) <= 1e-9 * np.max(exact)
+        bounds, n_degraded = _assert_weights_match_exact(N, nodes, inner)
         degraded += n_degraded > 1  # a degraded pair beyond the one at r = 0
         odd += any((b - a) % 2 for a, b in zip(bounds[:-1], bounds[1:]))
     assert degraded > 0 and odd > 0
+    # far field: cells of width ~0.04 at r ~ 900, where moments formed as
+    # differences of global powers lose ~7 digits to cancellation
+    for N in range(3, 7):
+        nodes = np.concatenate([[0.0], 900.0 + np.cumsum(rng.uniform(0.02, 0.06, 40))])
+        _assert_weights_match_exact(N, nodes)
 
 
 def test_barrier_respects_kink():

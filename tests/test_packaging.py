@@ -1,8 +1,8 @@
-"""Package metadata: what pyproject.toml declares must exist; import cost."""
+"""Package metadata: what pyproject.toml declares must match the code."""
 
+import ast
 import importlib
-import os
-import subprocess
+import re
 import sys
 from pathlib import Path
 
@@ -23,16 +23,20 @@ def test_console_scripts_import_to_callables():
         assert callable(obj), f"console script {name} -> {target} is not callable"
 
 
-def test_import_leaves_sympy_out():
-    # sympy serves only conditions.nonlinearity_from_expression and costs
-    # about 0.4 s to import; `import massnls` must not pay it
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
-    )
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, massnls; print('sympy' in sys.modules)"],
-        capture_output=True, text=True, env=env, timeout=120, check=True,
-    )
-    assert out.stdout.strip() == "False"
+def test_runtime_dependencies_are_the_third_party_imports():
+    # every declared dependency is imported somewhere in the package, and
+    # every third-party import is declared; imports inside functions count
+    tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
+    declared = {
+        re.match(r"[A-Za-z0-9_.-]+", req).group().lower().replace("-", "_")
+        for req in tomllib.loads(PYPROJECT.read_text())["project"]["dependencies"]
+    }
+    imported = set()
+    for path in (ROOT / "src" / "massnls").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - {"massnls"}
+    assert declared == third_party == {"numpy", "scipy"}

@@ -1,12 +1,10 @@
 """Tests for the constrained solvers: valley minimization, the minimax
-ground state, mountain-pass paths, and the sphere deformation demo."""
+ground state and mountain-pass paths."""
 
 import functools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from massnls.bubbles import bubble_grid, superpose, truncated_instanton
 from massnls.constants import sobolev_constant, thresholds
@@ -16,7 +14,6 @@ from massnls.grid import RadialFunction, make_grid, mass
 from massnls.solvers import (
     SolveOptions,
     concentration_init,
-    deformation_flow_demo,
     gaussian_valley_init,
     ground_state_minimax,
     local_minimize,
@@ -384,86 +381,3 @@ def test_path_requires_subcritical_exponent():
     with pytest.raises(HypothesisError):
         mountain_pass_path(p_bad, rpt.u, U)
 
-
-# ----------------------------------------------------------------------------
-# deformation flow on the finite-dimensional sphere
-# ----------------------------------------------------------------------------
-
-def test_north_pole_is_stationary_for_the_height():
-    north = np.zeros(6)
-    north[-1] = 1.0
-    tr = deformation_flow_demo(6, "height", north, duration=2.0, step=1e-2)
-    assert np.max(np.abs(tr.points - north)) <= 1e-12
-    assert tr.displacement[-1] == 0.0
-
-
-def test_generic_height_flow_reaches_the_south_pole():
-    x0 = np.ones(6) / np.sqrt(6.0)
-    tr = deformation_flow_demo(6, "height", x0, duration=20.0, step=1e-2)
-    assert abs(tr.values[-1] + 1.0) <= 1e-8
-    assert np.all(np.diff(tr.values) <= 1e-15)
-    assert np.max(np.abs(tr.norms - 1.0)) <= 1e-10
-
-
-def test_height_flow_matches_the_tanh_solution():
-    # the projected flow closes on the last coordinate alone:
-    # x_d' = -(1 - x_d^2), so x_d(t) = tanh(atanh(x_d(0)) - t)
-    x0 = np.ones(4) / 2.0
-    step = 1e-3
-    tr = deformation_flow_demo(4, "height", x0, duration=1.0, step=step)
-    t = step * np.arange(tr.values.size)
-    oracle = np.tanh(np.arctanh(x0[-1]) - t)
-    assert np.max(np.abs(tr.points[:, -1] - oracle)) <= 0.2 * step
-
-
-def test_displacement_is_bounded_by_the_gradient_sum():
-    rng = np.random.default_rng(3)
-    x0 = rng.normal(size=12)
-    x0 /= np.linalg.norm(x0)
-    tr = deformation_flow_demo(12, "quadratic", x0, duration=4.0, step=1e-2)
-    bound = tr.step * np.cumsum(tr.grad_norms[:-1])
-    assert np.all(tr.displacement[1:] <= bound + 1e-14)
-
-
-def test_quadratic_flow_selects_the_softest_axis():
-    x0 = np.ones(3) / np.sqrt(3.0)
-    tr = deformation_flow_demo(3, "quadratic", x0, duration=40.0, step=1e-2)
-    assert abs(tr.points[-1, 0]) == pytest.approx(1.0, abs=1e-8)
-    assert tr.values[-1] == pytest.approx(0.5, abs=1e-8)
-
-
-def test_double_well_flow_settles_on_the_well_floor():
-    x0 = np.array([0.1, 0.2, np.sqrt(1.0 - 0.05)])
-    tr = deformation_flow_demo(3, "double_well", x0, duration=40.0, step=1e-2)
-    assert tr.points[-1, -1] ** 2 == pytest.approx(0.5, abs=1e-8)
-
-
-@pytest.mark.parametrize(
-    "kw",
-    [
-        dict(dim=1, functional="height", start=np.array([1.0])),
-        dict(dim=3, functional="height", start=np.ones(3) / np.sqrt(3.0), step=0.0),
-        dict(dim=3, functional="height", start=np.ones(3) / np.sqrt(3.0), duration=-1.0),
-        dict(dim=3, functional="height", start=np.ones(4) / 2.0),
-        dict(dim=3, functional="height", start=np.array([1.0, 1.0, 1.0])),
-        dict(dim=3, functional="saddle", start=np.array([0.0, 0.0, 1.0])),
-    ],
-)
-def test_deformation_rejects_bad_inputs(kw):
-    with pytest.raises(ParameterError):
-        deformation_flow_demo(**kw)
-
-
-@settings(max_examples=25, deadline=None)
-@given(
-    dim=st.integers(min_value=2, max_value=24),
-    seed=st.integers(min_value=0, max_value=10_000),
-)
-def test_flow_conserves_the_sphere_for_random_starts(dim, seed):
-    rng = np.random.default_rng(seed)
-    x0 = rng.normal(size=dim)
-    x0 /= np.linalg.norm(x0)
-    tr = deformation_flow_demo(dim, "height", x0, duration=0.5, step=1e-2)
-    assert np.max(np.abs(tr.norms - 1.0)) <= 1e-10
-    bound = tr.step * np.cumsum(tr.grad_norms[:-1])
-    assert np.all(tr.displacement[1:] <= bound + 1e-14)
