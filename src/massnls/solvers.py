@@ -7,16 +7,19 @@ step, so the constraint is satisfied to roundoff at each iterate.  Search
 directions are Sobolev-preconditioned projected gradients (an H^1 Riesz
 solve per step -- one tridiagonal back-substitution), with Armijo
 backtracking on top: the critical term makes any fixed step blow up once
-the profile starts to concentrate.
+the profile starts to concentrate.  Every SolutionReport says why the
+descent and the Newton endgame stopped and counts the work they did.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dgtsv, dpttrf, dpttrs
 
 from .constants import thresholds
 from .errors import (
     HypothesisError,
+    NumericalError,
     ParameterError,
     ScanExhaustedError,
 )
@@ -67,9 +70,17 @@ class SolutionReport:
     u: RadialFunction
     energy_report: object
     level_name: str            # "local_min" | "minimax_ground_state"
-    iterations: int
+    iterations: int            # descent iterations
     converged: bool
     history: list              # per-iteration (phi, projected-grad norm, grad_sq)
+    descent_stop: str          # "tol" | "stalled" | "step_underflow" | "max_iters"
+    newton_stop: str           # "tol" | "lu_failed" | "singular_border"
+                               # | "non_finite" | "no_descent" | "max_iters"
+    backtracks: int            # descent trials rejected by the Armijo test
+    value_evals: int           # descent evaluator values (start point + trials)
+    grad_evals: int            # descent evaluator gradients (one per iterate)
+    newton_steps: int          # accepted Newton steps
+    factorizations: int        # tridiagonal factorizations, descent and Newton
 
 
 # ----------------------------------------------------------------------------
@@ -83,20 +94,50 @@ def _retract(W, vals, c):
     return vals * np.sqrt(c / m)
 
 
+def _riesz_solver(W, K):
+    """Solve (diag(W) + K) z = b, the H^1 Gram system of the descent.
+
+    The P1 stiffness K is tridiagonal and the Gram matrix is SPD, so it is
+    factored once as L D L^T (LAPACK dpttrf) and each right-hand side costs
+    one O(M) back-substitution (dpttrs).
+    """
+    d, e, info = dpttrf(W + K.diagonal(), K.diagonal(1))
+    if info != 0:
+        raise NumericalError(f"H^1 Gram matrix not positive definite (dpttrf info {info})")
+
+    def solve(b):
+        z, info = dpttrs(d, e, b)
+        if info != 0:
+            raise NumericalError(f"dpttrs failed with info {info}")
+        return z
+
+    return solve
+
+
 def _descend(g, vals, p, opts, eval_fn, cap=None, value_progress=True):
     """Sobolev-preconditioned projected descent on the mass sphere.
 
-    eval_fn(vals) -> (value, dual gradient).  The raw Euclidean gradient of
-    the discrete energy is useless as a search direction on graded grids
-    (the weighted-L^2 representation blows up like 1/weight near the origin
-    and the stiffness part imposes a dr_min^2 step ceiling), so the
-    direction solves (M_w + K) z = dual - lambda_hat M_w u -- the H^1 Riesz
-    representative of the tangentially projected gradient.  The slope along
+    eval_fn(vals) -> (value, grad), where grad() computes the dual gradient
+    at vals when called.  Line-search trials need only the value; the
+    accepted trial's (value, grad) pair is carried into the next iteration,
+    so every iterate costs one gradient and no point is evaluated twice.
+
+    The raw Euclidean gradient of the discrete energy is useless as a search
+    direction on graded grids (the weighted-L^2 representation blows up like
+    1/weight near the origin and the stiffness part imposes a dr_min^2 step
+    ceiling), so the direction solves (M_w + K) z = dual - lambda_hat M_w u
+    -- the H^1 Riesz representative of the tangentially projected gradient,
+    with M_w + K factored once per descent (`_riesz_solver`).  The slope along
     -z is exactly -(resid' A^-1 resid) < 0, so Armijo backtracking always
     terminates.  cap, when given, is an upper bound on the stiffness form;
     violating trials are rejected with a halved step, never projected back.
     Stopping tests the weighted-L^2 projected-gradient norm (the same
-    residual energy_report carries).  Returns (vals, iters, hit_tol, history).
+    residual energy_report carries).
+
+    Returns (vals, history, work): work holds the descent's share of the
+    SolutionReport fields -- iterations, descent_stop ("tol", "stalled",
+    "step_underflow" or "max_iters"), backtracks, value_evals, grad_evals
+    and factorizations.
 
     value_progress widens the stagnation test: a monotone value decrease
     counts as progress even while the residual norm stalls.  That is right
@@ -105,28 +146,29 @@ def _descend(g, vals, p, opts, eval_fn, cap=None, value_progress=True):
     maximum envelope, whose infimum over the whole sphere is a degenerate
     spreading limit -- there the residual plateau is the stopping signal.
     """
-    from scipy.sparse import diags
-    from scipy.sparse.linalg import splu
-
     W = g.omega_N * g.weights
     c = p.c
     vals = _retract(W, vals, c)
-    lu = splu((diags(W) + g.stiffness).tocsc())
+    riesz = _riesz_solver(W, g.stiffness)
     step = opts.step0
     history = []
-    hit_tol = False
     best = np.inf
     best_val = np.inf
     stale = 0
     it = 0
+    stop = "max_iters"
+    backtracks = grad_evals = 0
+    value_evals = 1
+    val, grad = eval_fn(vals)
     for it in range(1, opts.max_iters + 1):
-        val, dual = eval_fn(vals)
+        dual = grad()
+        grad_evals += 1
         lam = float(dual @ vals) / c
         resid = dual - lam * (W * vals)
         pnorm = float(np.sqrt(resid @ (resid / W)))
         history.append((val, pnorm, float(vals @ (g.stiffness @ vals))))
         if pnorm <= opts.grad_tol:
-            hit_tol = True
+            stop = "tol"
             break
         # progress = the residual shrank 1%, or (when value progress counts)
         # the value moved by more than the evaluation noise floor
@@ -140,8 +182,9 @@ def _descend(g, vals, p, opts, eval_fn, cap=None, value_progress=True):
         else:
             stale += 1
             if stale >= 25:
-                break  # flatlined: hand over to the Newton endgame
-        z = lu.solve(resid)
+                stop = "stalled"  # flatlined: hand over to the Newton endgame
+                break
+        z = riesz(resid)
         z -= (float(W @ (z * vals)) / c) * vals
         slope = float(dual @ z)   # equals resid' A^-1 resid: strictly positive
         accepted = False
@@ -150,15 +193,23 @@ def _descend(g, vals, p, opts, eval_fn, cap=None, value_progress=True):
             if cap is not None and float(trial @ (g.stiffness @ trial)) >= cap:
                 step *= 0.5
                 continue
-            if eval_fn(trial)[0] <= val - 1e-4 * step * slope:
+            t_val, t_grad = eval_fn(trial)
+            value_evals += 1
+            if t_val <= val - 1e-4 * step * slope:
                 accepted = True
                 break
+            backtracks += 1
             step *= 0.5
         if not accepted:
-            break  # step underflow: at the quadrature floor, report honestly
-        vals = trial
+            stop = "step_underflow"  # at the quadrature floor, report honestly
+            break
+        vals, val, grad = trial, t_val, t_grad
         step = min(step * 1.5, 64.0)
-    return vals, it, hit_tol, history
+    work = dict(
+        iterations=it, descent_stop=stop, backtracks=backtracks,
+        value_evals=value_evals, grad_evals=grad_evals, factorizations=1,
+    )
+    return vals, history, work
 
 
 def _kkt_state(g, W, vals, p):
@@ -168,6 +219,37 @@ def _kkt_state(g, W, vals, p):
     return dual, lam, resid, float(np.sqrt(resid @ (resid / W)))
 
 
+def _newton_step(g, W, vals, p, lam, resid):
+    """One bordered Newton step on the constrained Euler-Lagrange system.
+
+    Solves [[J, -W u], [(W u)', 0]] (du, dlam) = (-resid, 0) with
+    J = K - diag(W (f'(u) + lam)) by one tridiagonal LAPACK solve (dgtsv)
+    with the two right-hand sides -resid and W u.  Returns (du, dlam, None),
+    or (None, None, reason) with reason one of "lu_failed" (J exactly
+    singular), "non_finite" or "singular_border".
+    """
+    av = np.abs(vals)
+    fprime = (
+        p.mu * (p.q - 1.0) * av ** (p.q - 2.0)
+        + (p.two_star - 1.0) * av ** (p.two_star - 2.0)
+    )
+    K = g.stiffness
+    off = K.diagonal(1)
+    wu = W * vals
+    *_, x, info = dgtsv(off, K.diagonal() - W * (fprime + lam), off,
+                        np.column_stack([-resid, wu]))
+    if info != 0:
+        return None, None, "lu_failed"
+    if not np.all(np.isfinite(x)):
+        return None, None, "non_finite"
+    du0, du1 = x[:, 0], x[:, 1]
+    denom = float(wu @ du1)
+    if denom == 0.0:
+        return None, None, "singular_border"
+    dlam = -float(wu @ du0) / denom
+    return du0 + dlam * du1, dlam, None
+
+
 def _newton_polish(g, vals, p, tol, max_iters=40):
     """Bordered Newton on the constrained Euler-Lagrange system.
 
@@ -175,35 +257,25 @@ def _newton_polish(g, vals, p, tol, max_iters=40):
     the evaluation noise floor (~1e-12 absolute), which happens around
     projected-gradient norms of 1e-5; the endgame is therefore run on the
     residual itself.  Newton steps solve the KKT linearization with the mass
-    constraint bordered in (two tridiagonal solves per step) and are damped
-    whenever the residual norm fails to drop.
-    """
-    from scipy.sparse import diags
-    from scipy.sparse.linalg import splu
+    constraint bordered in (`_newton_step`) and are damped whenever the
+    residual norm fails to drop.
 
+    Returns (vals, work): work holds newton_stop ("tol",
+    "lu_failed", "singular_border", "non_finite", "no_descent" or
+    "max_iters"), newton_steps (accepted) and factorizations.
+    """
     W = g.omega_N * g.weights
     dual, lam, resid, pnorm = _kkt_state(g, W, vals, p)
+    stop = "max_iters"
+    steps = factorizations = 0
     for _ in range(max_iters):
         if pnorm <= tol:
             break
-        av = np.abs(vals)
-        fprime = (
-            p.mu * (p.q - 1.0) * av ** (p.q - 2.0)
-            + (p.two_star - 1.0) * av ** (p.two_star - 2.0)
-        )
-        J = g.stiffness - diags(W * (fprime + lam))
-        try:
-            lu = splu(J.tocsc())
-            du0 = lu.solve(-resid)
-            du1 = lu.solve(W * vals)
-        except RuntimeError:
+        du, _, reason = _newton_step(g, W, vals, p, lam, resid)
+        factorizations += 1
+        if reason is not None:
+            stop = reason
             break
-        wu = W * vals
-        denom = float(wu @ du1)
-        if denom == 0.0 or not np.all(np.isfinite(du0)) or not np.all(np.isfinite(du1)):
-            break
-        dlam = -float(wu @ du0) / denom
-        du = du0 + dlam * du1
 
         improved = False
         scale = 1.0
@@ -217,8 +289,26 @@ def _newton_polish(g, vals, p, tol, max_iters=40):
                 break
             scale *= 0.5
         if not improved:
+            stop = "no_descent"
             break
-    return vals, pnorm
+        steps += 1
+    if pnorm <= tol:
+        stop = "tol"
+    work = dict(newton_stop=stop, newton_steps=steps, factorizations=factorizations)
+    return vals, work
+
+
+def _report(u, p, opts, level_name, history, descent, newton):
+    erep = energy_report(u, p)
+    converged = bool(
+        erep.kkt_residual <= opts.grad_tol
+        and abs(erep.mass - p.c) <= 1e-10 * p.c
+    )
+    work = {**descent, **newton,
+            "factorizations": descent["factorizations"] + newton["factorizations"]}
+    return SolutionReport(
+        u, erep, level_name, converged=converged, history=history, **work
+    )
 
 
 # ----------------------------------------------------------------------------
@@ -324,26 +414,21 @@ def local_minimize(p, init, opts=None):
         )
 
     def eval_fn(v):
-        u = RadialFunction(g, v)
-        nb = stiff_bundle(g, v, p)
-        return fiber_energy(nb, p, 1.0), _energy_gradient(u, p)
+        value = fiber_energy(stiff_bundle(g, v, p), p, 1.0)
+        return value, lambda: _energy_gradient(RadialFunction(g, v), p)
 
-    vals, iters, hit_tol, history = _descend(g, vals, p, opts, eval_fn, cap=cap)
+    vals, history, descent = _descend(g, vals, p, opts, eval_fn, cap=cap)
     # Newton endgame, guarded: for a minimization run the polish must not buy
     # a smaller residual at the price of leaving the basin (jumping to some
     # higher critical point), so candidates that raise the energy beyond the
     # evaluation noise are discarded.
     val_pre = eval_fn(vals)[0]
-    cand, _ = _newton_polish(g, vals, p, 0.1 * opts.grad_tol)
+    cand, newton = _newton_polish(g, vals, p, 0.1 * opts.grad_tol)
     if eval_fn(cand)[0] <= val_pre + 1e-12 + 1e-9 * abs(val_pre):
         vals = cand
-    u = RadialFunction(g, vals)
-    erep = energy_report(u, p)
-    converged = bool(
-        erep.kkt_residual <= opts.grad_tol
-        and abs(erep.mass - p.c) <= 1e-10 * p.c
+    return _report(
+        RadialFunction(g, vals), p, opts, "local_min", history, descent, newton
     )
-    return SolutionReport(u, erep, "local_min", iters, converged, history)
 
 
 # ----------------------------------------------------------------------------
@@ -383,15 +468,18 @@ def ground_state_minimax(p, init, opts=None):
     def eval_fn(v):
         nb = stiff_bundle(g, v, p)
         pt = manifold_projection(nb, p)   # projection failures propagate
-        ts = pt.t
-        force = (
-            p.mu * ts ** (p.q * p.gamma_q) * np.abs(v) ** (p.q - 2.0) * v
-            + ts ** p.two_star * np.abs(v) ** (p.two_star - 2.0) * v
-        )
-        dual = ts ** 2 * (g.stiffness @ v) - W * force
-        return pt.value, dual
 
-    vals, iters, hit_tol, history = _descend(
+        def grad():
+            ts = pt.t
+            force = (
+                p.mu * ts ** (p.q * p.gamma_q) * np.abs(v) ** (p.q - 2.0) * v
+                + ts ** p.two_star * np.abs(v) ** (p.two_star - 2.0) * v
+            )
+            return ts ** 2 * (g.stiffness @ v) - W * force
+
+        return pt.value, grad
+
+    vals, history, descent = _descend(
         g, vals, p, opts, eval_fn, value_progress=False
     )
 
@@ -401,14 +489,10 @@ def ground_state_minimax(p, init, opts=None):
     if abs(pt.t - 1.0) > 1e-12:
         vals = fiber_scale(RadialFunction(g, vals), pt.t).values
         vals = _retract(W, np.asarray(vals, dtype=float), p.c)
-    vals, _ = _newton_polish(g, vals, p, 0.1 * opts.grad_tol)
-    u = RadialFunction(g, vals)
-    erep = energy_report(u, p)
-    converged = bool(
-        erep.kkt_residual <= opts.grad_tol
-        and abs(erep.mass - p.c) <= 1e-10 * p.c
+    vals, newton = _newton_polish(g, vals, p, 0.1 * opts.grad_tol)
+    return _report(
+        RadialFunction(g, vals), p, opts, "minimax_ground_state", history, descent, newton
     )
-    return SolutionReport(u, erep, "minimax_ground_state", iters, converged, history)
 
 
 # ----------------------------------------------------------------------------

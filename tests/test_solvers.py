@@ -6,13 +6,18 @@ import functools
 import numpy as np
 import pytest
 
+from massnls import solvers
 from massnls.bubbles import bubble_grid, superpose, truncated_instanton
 from massnls.constants import sobolev_constant, thresholds
 from massnls.errors import HypothesisError, ParameterError, ScanExhaustedError
 from massnls.functionals import fiber_energy, normalize_mass, problem, stiff_bundle
 from massnls.grid import RadialFunction, make_grid, mass
+from massnls.manifold import manifold_projection
 from massnls.solvers import (
     SolveOptions,
+    _kkt_state,
+    _newton_step,
+    _riesz_solver,
     concentration_init,
     gaussian_valley_init,
     ground_state_minimax,
@@ -283,6 +288,96 @@ def test_ground_state_rejects_off_sphere_start():
     bad = RadialFunction(init.grid, 3.0 * init.values)
     with pytest.raises(ParameterError, match="off the target sphere"):
         ground_state_minimax(p, bad)
+
+
+def test_known_small_mass_stall_is_reported():
+    # a solver failure (other seeds converge at this (c, mu, q)), kept as a
+    # regression input: the report must say where the run stopped
+    p = problem(3, 0.526, 0.862, 3.5)
+    rpt = ground_state_minimax(p, concentration_init(p, seed=179433248))
+    assert not rpt.converged
+    assert rpt.energy_report.kkt_residual > 1.0
+    assert rpt.descent_stop == "stalled"
+    assert rpt.newton_stop == "no_descent"
+
+
+# ----------------------------------------------------------------------------
+# stop reasons, work counters and the tridiagonal solves
+# ----------------------------------------------------------------------------
+
+@pytest.mark.parametrize("solve", [_ground, _valley])
+def test_report_names_stops_and_counts_work(solve):
+    _, rpt = solve()
+    assert rpt.descent_stop in ("tol", "stalled", "step_underflow", "max_iters")
+    assert rpt.newton_stop in (
+        "tol", "lu_failed", "singular_border", "non_finite", "no_descent", "max_iters"
+    )
+    # one value for the start point and one per line-search trial, each
+    # trial either accepted or backtracked; one factorization per descent
+    # and one per Newton solve
+    accepted = rpt.iterations - (rpt.descent_stop != "max_iters")
+    assert rpt.value_evals == 1 + accepted + rpt.backtracks
+    assert rpt.factorizations == (
+        1 + rpt.newton_steps + (rpt.newton_stop not in ("tol", "max_iters"))
+    )
+    for n in (rpt.iterations, rpt.backtracks, rpt.value_evals, rpt.grad_evals,
+              rpt.newton_steps, rpt.factorizations):
+        assert type(n) is int
+
+
+def test_anchor_descent_evaluates_each_point_once(monkeypatch):
+    projections = []
+
+    def counted(nb, p):
+        projections.append(1)
+        return manifold_projection(nb, p)
+
+    monkeypatch.setattr(solvers, "manifold_projection", counted)
+    p = problem(3, 1.0, 1.0, 4.0)
+    rpt = ground_state_minimax(p, concentration_init(p, seed=0))
+    assert rpt.converged
+    # one gradient per iterate; the accepted trial is never evaluated again
+    assert rpt.grad_evals == rpt.iterations == len(rpt.history)
+    accepted = rpt.iterations - (rpt.descent_stop != "max_iters")
+    assert rpt.value_evals == 1 + accepted + rpt.backtracks
+    # every value is one fiber projection; one more re-centers before Newton
+    assert len(projections) == rpt.value_evals + 1
+
+
+def _small_state():
+    p = problem(3, 1.0, 1.0, 4.0)
+    g = make_grid(3, 10.0, 40, "graded")
+    W = g.omega_N * g.weights
+    u = normalize_mass(RadialFunction(g, np.exp(-((g.nodes / 2.0) ** 2))), p.c)
+    return p, g, W, u.values
+
+
+def test_riesz_solve_matches_dense_solve():
+    p, g, W, vals = _small_state()
+    _, _, resid, _ = _kkt_state(g, W, vals, p)
+    z = _riesz_solver(W, g.stiffness)(resid)
+    ref = np.linalg.solve(np.diag(W) + g.stiffness.toarray(), resid)
+    assert np.max(np.abs(z - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_bordered_newton_step_matches_dense_kkt_solve():
+    p, g, W, vals = _small_state()
+    _, lam, resid, _ = _kkt_state(g, W, vals, p)
+    du, dlam, reason = _newton_step(g, W, vals, p, lam, resid)
+    assert reason is None
+    av = np.abs(vals)
+    fprime = (
+        p.mu * (p.q - 1.0) * av ** (p.q - 2.0)
+        + (p.two_star - 1.0) * av ** (p.two_star - 2.0)
+    )
+    n = vals.size
+    A = np.zeros((n + 1, n + 1))
+    A[:n, :n] = g.stiffness.toarray() - np.diag(W * (fprime + lam))
+    A[:n, n] = -W * vals
+    A[n, :n] = W * vals
+    ref = np.linalg.solve(A, np.append(-resid, 0.0))
+    assert np.max(np.abs(du - ref[:n])) <= 1e-10 * np.max(np.abs(ref[:n]))
+    assert dlam == pytest.approx(ref[n], rel=1e-10)
 
 
 # ----------------------------------------------------------------------------
