@@ -39,6 +39,7 @@ from .errors import (
 from .functionals import (
     NormBundle,
     _check_mu_below_alpha,
+    _GridPass,
     energy,
     fiber_energy,
     problem,
@@ -560,7 +561,8 @@ def _build_cross(p, u_c, U_n, c):
     Mass and stiffness form are quadratic in t, so three coefficients each
     (two sparse matvecs, six dot products on the shared grid) fix them for
     every t.  The Lebesgue norms are not polynomial in t; the "lebesgue"
-    callable takes them, with the direct mass, in one O(M) pass per t.
+    callable takes them, with the direct mass, in one O(M) `_GridPass`
+    without the stiffness per t.
     c is the target mass of W(t).
     """
     if not u_c.grid.same_layout(U_n.grid):
@@ -571,9 +573,8 @@ def _build_cross(p, u_c, U_n, c):
     Ku = g.stiffness @ u
 
     def lebesgue(t):
-        v = u + t * U
-        av = np.abs(v)
-        return float(W @ (v * v)), float(W @ av ** p.q), float(W @ av ** p.two_star)
+        nb = _GridPass(g, u + t * U, p, W, stiffness=False).bundle
+        return nb.mass, nb.lq, nb.lcrit
 
     return {
         "c": float(c),

@@ -25,6 +25,7 @@ psi(t) = (t^{q gamma_q}-1)/q + gamma_q (1-t^2)/2 >= 0 for q >= 2+4/N.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -140,16 +141,48 @@ def stiff_bundle(grid, vals, p):
     also the right form for the piecewise bubble families: their kink radii
     sit on grid nodes, so the P1 form never differences across a kink (the
     centered-difference route of `norm_bundle` does, and loses ~4 digits
-    on the gradient there).
+    on the gradient there).  The norms come from one `_GridPass`; a caller
+    that also needs the gradient at vals should keep the pass instead.
     """
-    W = grid.omega_N * grid.weights
-    av = np.abs(vals)
-    return NormBundle(
-        float(W @ (vals * vals)),
-        float(vals @ (grid.stiffness @ vals)),
-        float(W @ av ** p.q),
-        float(W @ av ** p.two_star),
-    )
+    return _GridPass(grid, vals, p).bundle
+
+
+class _GridPass:
+    """The nodal pieces that the energy of a profile and its gradient share.
+
+    One pass over the nodal values v takes v^2, K v (K the P1 stiffness;
+    skipped when `stiffness` is False) and the two force powers
+    f_q = (v^2)^((q-2)/2) = |v|^(q-2) and f_c = (v^2)^((2*-2)/2).  The norm
+    bundle (m = W v^2, a = v K v, ||v||_q^q = W f_q v^2 and
+    ||v||_{2*}^{2*} = W f_c v^2; a is NaN without the stiffness) and the
+    dilated dual gradient are built from these, so a descent point pays for
+    each piece once.  Powers of v^2 rather than of |v| put the integer
+    exponents of N = 3 and 4 (f_c = (v^2)^2 and (v^2)^1, and f_q at q = 4)
+    on NumPy's own square and identity fast paths.  W, the nodal volume
+    weights omega_N * weights, may be passed in by a caller that holds them.
+    """
+
+    def __init__(self, grid, v, p, W=None, stiffness=True):
+        W = grid.omega_N * grid.weights if W is None else W
+        v2 = v * v
+        self.W, self.v = W, v
+        self.fq = v2 ** ((p.q - 2.0) / 2.0)
+        self.fc = v2 ** ((p.two_star - 2.0) / 2.0)
+        self.Kv = grid.stiffness @ v if stiffness else None
+        self.bundle = NormBundle(
+            float(W @ v2),
+            float(v @ self.Kv) if stiffness else math.nan,
+            float(W @ (self.fq * v2)),
+            float(W @ (self.fc * v2)),
+        )
+
+    def gradient(self, p, t=1.0):
+        """t^2 K v - W (mu t^(q gamma_q) f_q + t^(2*) f_c) v: the dual
+        gradient of v -> Phi(v_t) at fixed dilation t.  At t = 1 it is the
+        Euclidean gradient of the discrete energy; at the fiber maximum it
+        is the envelope-theorem gradient of the fiber-maximum level."""
+        force = p.mu * t ** (p.q * p.gamma_q) * self.fq + t ** p.two_star * self.fc
+        return t ** 2 * self.Kv - self.W * force * self.v
 
 
 def coerce_bundle(obj, p=None):
@@ -399,19 +432,6 @@ class EnergyReport:
         return asdict(self)
 
 
-def _nodal_force(u, p):
-    """Nodal values of f(u) = mu |u|^(q-2) u + |u|^(2*-2) u."""
-    v = u.values
-    av = np.abs(v)
-    return p.mu * av ** (p.q - 2.0) * v + av ** (p.two_star - 2.0) * v
-
-
-def _energy_gradient(u, p):
-    """Euclidean gradient of the discrete energy (P1 kinetic form)."""
-    g = u.grid
-    return g.stiffness @ u.values - (g.omega_N * g.weights) * _nodal_force(u, p)
-
-
 def kkt_residual(u, p):
     """Size of the constrained Euler-Lagrange residual at u.
 
@@ -422,8 +442,9 @@ def kkt_residual(u, p):
     """
     g = u.grid
     W = g.omega_N * g.weights
-    grad = _energy_gradient(u, p) / W          # L^2_h representation
-    m = float(W @ (u.values * u.values))
+    gp = _GridPass(g, u.values, p, W)
+    grad = gp.gradient(p) / W                  # L^2_h representation
+    m = gp.bundle.mass
     coef = float(W @ (grad * u.values)) / m    # = the discrete multiplier
     tang = grad - coef * u.values
     return float(np.sqrt(W @ (tang * tang)))

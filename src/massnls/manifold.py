@@ -19,10 +19,19 @@ whose shape is fixed by the sign of e1:
   followed by a local maximum.
 
 Each root is bracketed in closed form, from the dilations at which one term
-of h reaches a fixed multiple of a, and refined by one Brent solve in log t.  The
-bracket ends are formed in log space and clamped to the floating-point
-range, so there is no search window: roots are found at any scale that
-range holds.
+of h reaches a fixed multiple of a, and refined by one Brent solve in
+s = log t on
+
+    h(e^s)/a = 1 - exp(log(A/a) + e1 s) - exp(log(b/a) + e2 s),
+
+a closure over the precomputed logs of A/a and b/a.  Its terms stay below
+a few units on the bracket, so it neither under- nor overflows where g
+would (below t ~ 1e-250 the terms of g are subnormal and lose the root's
+sign change).  The bracket ends are formed in log space and clamped to the
+floating-point range, so there is no search window: roots are found at any
+scale that range holds.  The classification of a root (and, below
+q = 2+4/N, the sign check at the maximum of h) still evaluates g and g'
+in t.
 """
 
 from __future__ import annotations
@@ -105,35 +114,38 @@ def _log_level(k, a, c, e):
     return (math.log(k * a) - math.log(c)) / e
 
 
-def _brent(nb, p, s_lo, s_hi, sign_lo):
+def _log_h(a, A, b, e1, e2):
+    """s -> h(e^s)/a = 1 - exp(lA + e1 s) - exp(lb + e2 s), with the logs
+    lA = log(A/a) and lb = log(b/a) taken once (-inf for a zero term)."""
+    la = math.log(a)
+    lA = math.log(A) - la if A > 0.0 else -math.inf
+    lb = math.log(b) - la if b > 0.0 else -math.inf
+    exp = math.exp
+    return lambda s: 1.0 - exp(lA + e1 * s) - exp(lb + e2 * s)
+
+
+def _brent(h, s_lo, s_hi, sign_lo):
     """The root t = e^s of g with s in [s_lo, s_hi], where g has the sign
     sign_lo at e^s_lo and the opposite sign at e^s_hi; None when that sign
-    change lies beyond the floating-point range.
+    change lies beyond the floating-point range.  h is the `_log_h` closure,
+    which has the sign of g.
 
     An end beyond the range is clamped to it, and the root is in range only
-    if g is finite there and keeps the sign of that end.  Brent runs in
-    s = log t, where the terms of h are smooth exponentials; in t, a bracket
-    many decades wide would cost hundreds of bisections.
+    if h keeps the sign of that end there.  Brent runs in s = log t, where
+    the terms of h are smooth exponentials; in t, a bracket many decades
+    wide would cost hundreds of bisections.
     """
     lo, hi = max(s_lo, _LOG_MIN), min(s_hi, _LOG_MAX)
     if lo >= hi:
         return None
     for s, end, sign in ((lo, s_lo, sign_lo), (hi, s_hi, -sign_lo)):
-        if s != end:
-            g = fiber_derivative(nb, p, math.exp(s))
-            if not (math.isfinite(g) and sign * g > 0.0):
-                return None
+        if s != end and not sign * h(s) > 0.0:
+            return None
     try:
-        s = brentq(
-            lambda s: fiber_derivative(nb, p, math.exp(s)),
-            lo,
-            hi,
-            xtol=2.0 * _EPS,
-            rtol=4.0 * _EPS,
-        )
+        s = brentq(h, lo, hi, xtol=2.0 * _EPS, rtol=4.0 * _EPS)
     except ValueError as exc:
-        # the bracket has strict signs in exact arithmetic; losing them
-        # means g under- or overflowed at these dilations
+        # the bracket has strict signs in exact arithmetic, with margins far
+        # above the rounding of h
         raise NumericalError(
             f"fiber derivative lost its sign change on "
             f"[exp({lo:.6g}), exp({hi:.6g})]: {exc}"
@@ -174,7 +186,7 @@ def _roots(nb, p):
         # margins far above rounding, on a bracket kept tight for Brent
         s_lo = min(_log_level(0.8 / len(terms), a, c, e) for c, e in terms)
         s_hi = min(_log_level(1.1, a, c, e) for c, e in terms)
-        root = _brent(nb, p, s_lo, s_hi, 1.0)
+        root = _brent(_log_h(a, A, b, e1, e2), s_lo, s_hi, 1.0)
         if root is None:
             raise NoCriticalPointError(
                 "the root of the fiber derivative lies beyond the "
@@ -207,9 +219,10 @@ def _roots(nb, p):
                 f"t = {t_star:.6g}"
             )
     # at each outer end one term alone is 1.1a, so h <= -a/10
+    h = _log_h(a, A, b, e1, e2)
     roots = (
-        _brent(nb, p, _log_level(1.1, a, A, e1), s_star, -1.0),
-        _brent(nb, p, s_star, _log_level(1.1, a, b, e2), 1.0),
+        _brent(h, _log_level(1.1, a, A, e1), s_star, -1.0),
+        _brent(h, s_star, _log_level(1.1, a, b, e2), 1.0),
     )
     return [r for r in roots if r is not None]
 

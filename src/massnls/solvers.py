@@ -7,11 +7,15 @@ step, so the constraint is satisfied to roundoff at each iterate.  Search
 directions are Sobolev-preconditioned projected gradients (an H^1 Riesz
 solve per step -- one tridiagonal back-substitution), with Armijo
 backtracking on top: the critical term makes any fixed step blow up once
-the profile starts to concentrate.  Every SolutionReport says why the
-descent and the Newton endgame stopped and counts the work they did.
+the profile starts to concentrate.  Each descent point is evaluated in one
+pass over the grid (`functionals._GridPass`: one sparse matvec and the
+force powers, shared by the value, the gradient and the history row).
+Every SolutionReport says why the descent and the Newton endgame stopped
+and counts the work they did.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.linalg.lapack import dgtsv, dpttrf, dpttrs
@@ -25,12 +29,11 @@ from .errors import (
 )
 from .functionals import (
     _check_mu_below_alpha,
-    _energy_gradient,
+    _GridPass,
     energy_report,
     fiber_energy,
     fiber_scale,
     normalize_mass,
-    stiff_bundle,
 )
 from .grid import RadialFunction, make_grid, mass
 from .manifold import manifold_projection
@@ -76,11 +79,19 @@ class SolutionReport:
     descent_stop: str          # "tol" | "stalled" | "step_underflow" | "max_iters"
     newton_stop: str           # "tol" | "lu_failed" | "singular_border"
                                # | "non_finite" | "no_descent" | "max_iters"
-    backtracks: int            # descent trials rejected by the Armijo test
+    backtracks: int            # descent trials rejected (Armijo test or cap)
     value_evals: int           # descent evaluator values (start point + trials)
     grad_evals: int            # descent evaluator gradients (one per iterate)
     newton_steps: int          # accepted Newton steps
     factorizations: int        # tridiagonal factorizations, descent and Newton
+
+    def as_dict(self):
+        """Every field but the profile u, as plain data that serializes to
+        strict JSON: history rows as lists, energy_report as its as_dict()."""
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "u"}
+        out["history"] = [list(row) for row in self.history]
+        out["energy_report"] = self.energy_report.as_dict()
+        return out
 
 
 # ----------------------------------------------------------------------------
@@ -114,13 +125,25 @@ def _riesz_solver(W, K):
     return solve
 
 
+class _Point(NamedTuple):
+    """One evaluated descent point."""
+
+    value: float
+    grad: Callable      # grad() -> the dual gradient at the point
+    grad_sq: float      # its stiffness form v K v
+    t: float = 1.0      # its fiber maximum (1 for the plain energy)
+
+
 def _descend(g, vals, p, opts, eval_fn, cap=None, value_progress=True):
     """Sobolev-preconditioned projected descent on the mass sphere.
 
-    eval_fn(vals) -> (value, grad), where grad() computes the dual gradient
-    at vals when called.  Line-search trials need only the value; the
-    accepted trial's (value, grad) pair is carried into the next iteration,
-    so every iterate costs one gradient and no point is evaluated twice.
+    eval_fn(vals) -> _Point.  An evaluator makes one `_GridPass` over the
+    grid: the value, the stiffness form and the gradient closure all read
+    the same K v and force powers, so a point costs one sparse matvec
+    however much of it the descent uses.  Line-search trials need only the
+    value and the stiffness form; the accepted trial's point is carried into
+    the next iteration, so every iterate costs one gradient, and the history
+    row and the cap test take its stiffness form from the bundle.
 
     The raw Euclidean gradient of the discrete energy is useless as a search
     direction on graded grids (the weighted-L^2 representation blows up like
@@ -130,14 +153,14 @@ def _descend(g, vals, p, opts, eval_fn, cap=None, value_progress=True):
     with M_w + K factored once per descent (`_riesz_solver`).  The slope along
     -z is exactly -(resid' A^-1 resid) < 0, so Armijo backtracking always
     terminates.  cap, when given, is an upper bound on the stiffness form;
-    violating trials are rejected with a halved step, never projected back.
-    Stopping tests the weighted-L^2 projected-gradient norm (the same
-    residual energy_report carries).
+    violating trials are rejected with a halved step (and counted as
+    backtracks), never projected back.  Stopping tests the weighted-L^2
+    projected-gradient norm (the same residual energy_report carries).
 
-    Returns (vals, history, work): work holds the descent's share of the
-    SolutionReport fields -- iterations, descent_stop ("tol", "stalled",
-    "step_underflow" or "max_iters"), backtracks, value_evals, grad_evals
-    and factorizations.
+    Returns (vals, point, history, work): point is the _Point of the final
+    vals, and work holds the descent's share of the SolutionReport fields --
+    iterations, descent_stop ("tol", "stalled", "step_underflow" or
+    "max_iters"), backtracks, value_evals, grad_evals and factorizations.
 
     value_progress widens the stagnation test: a monotone value decrease
     counts as progress even while the residual norm stalls.  That is right
@@ -159,14 +182,15 @@ def _descend(g, vals, p, opts, eval_fn, cap=None, value_progress=True):
     stop = "max_iters"
     backtracks = grad_evals = 0
     value_evals = 1
-    val, grad = eval_fn(vals)
+    point = eval_fn(vals)
     for it in range(1, opts.max_iters + 1):
-        dual = grad()
+        val = point.value
+        dual = point.grad()
         grad_evals += 1
         lam = float(dual @ vals) / c
         resid = dual - lam * (W * vals)
         pnorm = float(np.sqrt(resid @ (resid / W)))
-        history.append((val, pnorm, float(vals @ (g.stiffness @ vals))))
+        history.append((val, pnorm, point.grad_sq))
         if pnorm <= opts.grad_tol:
             stop = "tol"
             break
@@ -190,12 +214,11 @@ def _descend(g, vals, p, opts, eval_fn, cap=None, value_progress=True):
         accepted = False
         for _ in range(60):
             trial = _retract(W, vals - step * z, c)
-            if cap is not None and float(trial @ (g.stiffness @ trial)) >= cap:
-                step *= 0.5
-                continue
-            t_val, t_grad = eval_fn(trial)
+            t_point = eval_fn(trial)
             value_evals += 1
-            if t_val <= val - 1e-4 * step * slope:
+            if (cap is None or t_point.grad_sq < cap) and (
+                t_point.value <= val - 1e-4 * step * slope
+            ):
                 accepted = True
                 break
             backtracks += 1
@@ -203,17 +226,17 @@ def _descend(g, vals, p, opts, eval_fn, cap=None, value_progress=True):
         if not accepted:
             stop = "step_underflow"  # at the quadrature floor, report honestly
             break
-        vals, val, grad = trial, t_val, t_grad
+        vals, point = trial, t_point
         step = min(step * 1.5, 64.0)
     work = dict(
         iterations=it, descent_stop=stop, backtracks=backtracks,
         value_evals=value_evals, grad_evals=grad_evals, factorizations=1,
     )
-    return vals, history, work
+    return vals, point, history, work
 
 
 def _kkt_state(g, W, vals, p):
-    dual = _energy_gradient(RadialFunction(g, vals), p)
+    dual = _GridPass(g, vals, p, W).gradient(p)
     lam = float(dual @ vals) / p.c
     resid = dual - lam * (W * vals)
     return dual, lam, resid, float(np.sqrt(resid @ (resid / W)))
@@ -414,17 +437,18 @@ def local_minimize(p, init, opts=None):
         )
 
     def eval_fn(v):
-        value = fiber_energy(stiff_bundle(g, v, p), p, 1.0)
-        return value, lambda: _energy_gradient(RadialFunction(g, v), p)
+        gp = _GridPass(g, v, p, W)
+        nb = gp.bundle
+        return _Point(fiber_energy(nb, p, 1.0), lambda: gp.gradient(p), nb.grad_sq)
 
-    vals, history, descent = _descend(g, vals, p, opts, eval_fn, cap=cap)
+    vals, last, history, descent = _descend(g, vals, p, opts, eval_fn, cap=cap)
     # Newton endgame, guarded: for a minimization run the polish must not buy
     # a smaller residual at the price of leaving the basin (jumping to some
     # higher critical point), so candidates that raise the energy beyond the
     # evaluation noise are discarded.
-    val_pre = eval_fn(vals)[0]
+    val_pre = last.value
     cand, newton = _newton_polish(g, vals, p, 0.1 * opts.grad_tol)
-    if eval_fn(cand)[0] <= val_pre + 1e-12 + 1e-9 * abs(val_pre):
+    if eval_fn(cand).value <= val_pre + 1e-12 + 1e-9 * abs(val_pre):
         vals = cand
     return _report(
         RadialFunction(g, vals), p, opts, "local_min", history, descent, newton
@@ -466,28 +490,20 @@ def ground_state_minimax(p, init, opts=None):
     vals = _retract(W, np.asarray(init.values, dtype=float), p.c)
 
     def eval_fn(v):
-        nb = stiff_bundle(g, v, p)
+        gp = _GridPass(g, v, p, W)
+        nb = gp.bundle
         pt = manifold_projection(nb, p)   # projection failures propagate
+        return _Point(pt.value, lambda: gp.gradient(p, pt.t), nb.grad_sq, pt.t)
 
-        def grad():
-            ts = pt.t
-            force = (
-                p.mu * ts ** (p.q * p.gamma_q) * np.abs(v) ** (p.q - 2.0) * v
-                + ts ** p.two_star * np.abs(v) ** (p.two_star - 2.0) * v
-            )
-            return ts ** 2 * (g.stiffness @ v) - W * force
-
-        return pt.value, grad
-
-    vals, history, descent = _descend(
+    vals, last, history, descent = _descend(
         g, vals, p, opts, eval_fn, value_progress=False
     )
 
-    # re-center on the fiber maximum (Newton initial guess only), then
-    # refine on the plain Euler-Lagrange system at fixed grid
-    pt = manifold_projection(stiff_bundle(g, vals, p), p)
-    if abs(pt.t - 1.0) > 1e-12:
-        vals = fiber_scale(RadialFunction(g, vals), pt.t).values
+    # re-center on the fiber maximum the descent found for the final iterate
+    # (Newton initial guess only), then refine on the plain Euler-Lagrange
+    # system at fixed grid
+    if abs(last.t - 1.0) > 1e-12:
+        vals = fiber_scale(RadialFunction(g, vals), last.t).values
         vals = _retract(W, np.asarray(vals, dtype=float), p.c)
     vals, newton = _newton_polish(g, vals, p, 0.1 * opts.grad_tol)
     return _report(

@@ -215,6 +215,18 @@ def test_unique_root_far_below_one_above_mass_critical():
     assert _root_residual(0.01, 100.0, 1.0, p, pts[0].t) <= 1e-12
 
 
+@pytest.mark.parametrize("b", [0.0, 1e-5])
+def test_root_near_1e_minus_300_where_g_underflows(b):
+    # at q = 4 (e1 = 1) the root solves a = A t, so t = a/A = 1e-300; there
+    # both terms of g are subnormal and g itself loses its sign change,
+    # while the log-space h keeps full precision
+    p = problem(3, 1.0, 1.0, 4.0)
+    a, d = 1e-10, 1e290 / (p.mu * p.gamma_q)
+    pts = fiber_critical_points((a, d, b), p)
+    assert [pt.second_derivative_sign for pt in pts] == ["minus"]
+    assert pts[0].t == pytest.approx(a / (p.mu * p.gamma_q * d), rel=1e-12)
+
+
 # ----------------------------------------------------------------------------
 # mass-subcritical exponents: zero / one / two roots
 # ----------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 ground state and mountain-pass paths."""
 
 import functools
+import json
 
 import numpy as np
 import pytest
@@ -10,7 +11,13 @@ from massnls import solvers
 from massnls.bubbles import bubble_grid, superpose, truncated_instanton
 from massnls.constants import sobolev_constant, thresholds
 from massnls.errors import HypothesisError, ParameterError, ScanExhaustedError
-from massnls.functionals import fiber_energy, normalize_mass, problem, stiff_bundle
+from massnls.functionals import (
+    _GridPass,
+    fiber_energy,
+    normalize_mass,
+    problem,
+    stiff_bundle,
+)
 from massnls.grid import RadialFunction, make_grid, mass
 from massnls.manifold import manifold_projection
 from massnls.solvers import (
@@ -340,8 +347,102 @@ def test_anchor_descent_evaluates_each_point_once(monkeypatch):
     assert rpt.grad_evals == rpt.iterations == len(rpt.history)
     accepted = rpt.iterations - (rpt.descent_stop != "max_iters")
     assert rpt.value_evals == 1 + accepted + rpt.backtracks
-    # every value is one fiber projection; one more re-centers before Newton
-    assert len(projections) == rpt.value_evals + 1
+    # every value is one fiber projection; the re-centering before Newton
+    # reuses the final iterate's fiber maximum instead of projecting again
+    assert len(projections) == rpt.value_evals
+
+
+def test_report_as_dict_is_strict_json():
+    for _, rpt in (_ground(), _valley()):
+        d = rpt.as_dict()
+        assert set(d) == set(solvers.SolutionReport.__dataclass_fields__) - {"u"}
+        assert d["history"] == [list(row) for row in rpt.history]
+        assert d["energy_report"] == rpt.energy_report.as_dict()
+        assert json.loads(json.dumps(d, allow_nan=False)) == d
+
+
+class _CountingStiffness:
+    """The stiffness matrix, counting the products K @ v taken with it."""
+
+    def __init__(self, K):
+        self.K = K
+        self.matvecs = 0
+
+    def __matmul__(self, v):
+        self.matvecs += 1
+        return self.K @ v
+
+    def diagonal(self, k=0):
+        return self.K.diagonal(k)
+
+
+def test_anchor_descent_takes_one_stiffness_product_per_value(monkeypatch):
+    p = problem(3, 1.0, 1.0, 4.0)
+    init = concentration_init(p, seed=0)
+    K = _CountingStiffness(init.grid.stiffness)
+    monkeypatch.setattr(init.grid, "_stiffness", K)
+    endgame = {}   # products taken inside the Newton polish and the report
+
+    def counted(name, fn):
+        def run(*args, **kwargs):
+            before = K.matvecs
+            out = fn(*args, **kwargs)
+            endgame[name] = K.matvecs - before
+            return out
+        return run
+
+    monkeypatch.setattr(solvers, "_newton_polish", counted("newton", solvers._newton_polish))
+    monkeypatch.setattr(solvers, "_report", counted("report", solvers._report))
+    rpt = ground_state_minimax(p, init)
+    assert rpt.converged
+    # the value, the stiffness form, the gradient and the history row of a
+    # point share one product; the Newton endgame and the report take theirs
+    assert endgame["newton"] >= 1 and endgame["report"] == 1
+    assert K.matvecs - sum(endgame.values()) == rpt.value_evals
+
+
+def _direct_pieces(v, K, W, p, t):
+    """Norms and dilated dual gradient by the textbook formulas in |v|."""
+    av = np.abs(v)
+    force = (
+        p.mu * t ** (p.q * p.gamma_q) * av ** (p.q - 2.0) * v
+        + t ** p.two_star * av ** (p.two_star - 2.0) * v
+    )
+    norms = (float(W @ (v * v)), float(v @ (K @ v)),
+             float(W @ av ** p.q), float(W @ av ** p.two_star))
+    return norms, t ** 2 * (K @ v) - W * force
+
+
+def _signed_profile():
+    g = make_grid(4, 12.0, 300, "graded")
+    vals = np.cos(g.nodes) * np.exp(-((g.nodes / 4.0) ** 2))
+    vals[::7] = 0.0
+    return RadialFunction(g, vals)
+
+
+@pytest.mark.parametrize("case", ["anchor_q4", "anchor_q3.5", "valley", "signed_N4"])
+def test_grid_pass_matches_the_direct_formulas(case):
+    if case.startswith("anchor"):
+        p = problem(3, 1.0, 1.0, 4.0 if case == "anchor_q4" else 3.5)
+        u = concentration_init(p, seed=0)
+    elif case == "valley":
+        p = problem(3, C_HALF, 1.0, 2.5)
+        u = gaussian_valley_init(p)
+    else:
+        p = problem(4, 1.0, 1.0, 3.0)
+        u = _signed_profile()
+        assert np.any(u.values < 0.0) and np.any(u.values == 0.0)
+    g, v = u.grid, u.values
+    W = g.omega_N * g.weights
+    gp = _GridPass(g, v, p)
+    for t in (1.0, 0.7):
+        norms, grad = _direct_pieces(v, g.stiffness, W, p, t)
+        assert np.max(np.abs(gp.gradient(p, t) - grad)) <= 1e-13 * np.max(np.abs(grad))
+    nb = gp.bundle
+    for got, ref in zip((nb.mass, nb.grad_sq, nb.lq, nb.lcrit), norms):
+        assert got == pytest.approx(ref, rel=1e-13)
+    # the gradient at t = 1 is the energy gradient the Newton endgame uses
+    assert np.array_equal(gp.gradient(p), _kkt_state(g, W, v, p)[0])
 
 
 def _small_state():
