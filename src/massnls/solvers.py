@@ -10,8 +10,13 @@ backtracking on top: the critical term makes any fixed step blow up once
 the profile starts to concentrate.  Each descent point is evaluated in one
 pass over the grid (`functionals._GridPass`: one sparse matvec and the
 force powers, shared by the value, the gradient and the history row).
-Every SolutionReport says why the descent and the Newton endgame stopped
-and counts the work they did.
+
+Each phase stops when its own test stops carrying information.  The descent
+hands over to a bordered Newton polish as soon as the Armijo decrease it
+would demand is below one ulp of the value ("noise_floor"), and Newton stops
+when a full step fails to lower a residual already at the stopping tolerance
+("floor").  Every SolutionReport says why the descent and the Newton endgame
+stopped and counts the work they did.
 """
 
 from dataclasses import dataclass, fields
@@ -76,9 +81,16 @@ class SolutionReport:
     iterations: int            # descent iterations
     converged: bool
     history: list              # per-iteration (phi, projected-grad norm, grad_sq)
-    descent_stop: str          # "tol" | "stalled" | "step_underflow" | "max_iters"
-    newton_stop: str           # "tol" | "lu_failed" | "singular_border"
-                               # | "non_finite" | "no_descent" | "max_iters"
+    descent_stop: str          # "tol": residual <= grad_tol
+                               # | "noise_floor": Armijo decrease below one ulp
+                               # | "stalled": 25 iterations without progress
+                               # | "step_underflow": 60 halvings, no step taken
+                               # | "max_iters"
+    newton_stop: str           # "tol": residual <= grad_tol / 10
+                               # | "floor": full step failed at residual <= grad_tol
+                               # | "no_descent": 8 damped steps failed above it
+                               # | "lu_failed" | "singular_border" | "non_finite"
+                               # | "max_iters"
     backtracks: int            # descent trials rejected (Armijo test or cap)
     value_evals: int           # descent evaluator values (start point + trials)
     grad_evals: int            # descent evaluator gradients (one per iterate)
@@ -154,13 +166,23 @@ def _descend(g, vals, p, opts, eval_fn, cap=None, value_progress=True):
     -z is exactly -(resid' A^-1 resid) < 0, so Armijo backtracking always
     terminates.  cap, when given, is an upper bound on the stiffness form;
     violating trials are rejected with a halved step (and counted as
-    backtracks), never projected back.  Stopping tests the weighted-L^2
-    projected-gradient norm (the same residual energy_report carries).
+    backtracks), never projected back.
+
+    Stopping.  "tol" when the weighted-L^2 projected-gradient norm (the
+    residual energy_report carries) reaches opts.grad_tol.  "noise_floor"
+    as soon as the Armijo decrease 1e-4 * step * slope is below one ulp of
+    the value (val - 1e-4 * step * slope == val): from there the test could
+    only compare rounding, so the descent hands over to Newton without
+    evaluating the trial.  This is how a converging run usually ends.
+    "stalled" after 25 iterations without progress while the demanded
+    decrease is still above that floor: a real stall (the pure-critical
+    run, small c * mu).  "step_underflow" when 60 halvings find no
+    acceptable step, and "max_iters".
 
     Returns (vals, point, history, work): point is the _Point of the final
     vals, and work holds the descent's share of the SolutionReport fields --
-    iterations, descent_stop ("tol", "stalled", "step_underflow" or
-    "max_iters"), backtracks, value_evals, grad_evals and factorizations.
+    iterations, descent_stop, backtracks, value_evals, grad_evals and
+    factorizations.
 
     value_progress widens the stagnation test: a monotone value decrease
     counts as progress even while the residual norm stalls.  That is right
@@ -211,20 +233,23 @@ def _descend(g, vals, p, opts, eval_fn, cap=None, value_progress=True):
         z = riesz(resid)
         z -= (float(W @ (z * vals)) / c) * vals
         slope = float(dual @ z)   # equals resid' A^-1 resid: strictly positive
-        accepted = False
         for _ in range(60):
+            armijo = val - 1e-4 * step * slope
+            if armijo == val:
+                # the required decrease is below one ulp of val: the Armijo
+                # test would compare rounding only
+                stop = "noise_floor"
+                break
             trial = _retract(W, vals - step * z, c)
             t_point = eval_fn(trial)
             value_evals += 1
-            if (cap is None or t_point.grad_sq < cap) and (
-                t_point.value <= val - 1e-4 * step * slope
-            ):
-                accepted = True
+            if (cap is None or t_point.grad_sq < cap) and t_point.value <= armijo:
                 break
             backtracks += 1
             step *= 0.5
-        if not accepted:
-            stop = "step_underflow"  # at the quadrature floor, report honestly
+        else:
+            stop = "step_underflow"
+        if stop != "max_iters":
             break
         vals, point = trial, t_point
         step = min(step * 1.5, 64.0)
@@ -273,21 +298,30 @@ def _newton_step(g, W, vals, p, lam, resid):
     return du0 + dlam * du1, dlam, None
 
 
-def _newton_polish(g, vals, p, tol, max_iters=40):
+def _newton_polish(g, vals, p, grad_tol, max_iters=40):
     """Bordered Newton on the constrained Euler-Lagrange system.
 
     Armijo descent cannot certify progress once energy decrements drop under
-    the evaluation noise floor (~1e-12 absolute), which happens around
-    projected-gradient norms of 1e-5; the endgame is therefore run on the
-    residual itself.  Newton steps solve the KKT linearization with the mass
-    constraint bordered in (`_newton_step`) and are damped whenever the
-    residual norm fails to drop.
+    the evaluation noise floor (one ulp of the value), which happens around
+    projected-gradient norms of 1e-5; the descent stops there
+    ("noise_floor") and the endgame is run on the residual itself.  Newton
+    steps solve the KKT linearization with the mass constraint bordered in
+    (`_newton_step`) and aim at grad_tol / 10.
 
-    Returns (vals, work): work holds newton_stop ("tol",
-    "lu_failed", "singular_border", "non_finite", "no_descent" or
-    "max_iters"), newton_steps (accepted) and factorizations.
+    Stopping.  "tol" at that target.  The L^2_h residual has a roundoff
+    floor of its own (a few 1e-9 on the benchmark grids, rising like h^-2
+    under refinement), so once the residual is at or below grad_tol a full
+    step that fails to lower it ends the polish ("floor"): halving a step
+    into the noise cannot help.  Above grad_tol a failed step is halved up
+    to 7 times, and "no_descent" means none of the 8 lowered the residual.
+    "lu_failed", "singular_border" and "non_finite" come from
+    `_newton_step`.
+
+    Returns (vals, work): work holds newton_stop, newton_steps (accepted)
+    and factorizations.
     """
     W = g.omega_N * g.weights
+    tol = 0.1 * grad_tol
     dual, lam, resid, pnorm = _kkt_state(g, W, vals, p)
     stop = "max_iters"
     steps = factorizations = 0
@@ -300,7 +334,6 @@ def _newton_polish(g, vals, p, tol, max_iters=40):
             stop = reason
             break
 
-        improved = False
         scale = 1.0
         for _ in range(8):
             trial = _retract(W, vals + scale * du, p.c)
@@ -308,11 +341,16 @@ def _newton_polish(g, vals, p, tol, max_iters=40):
             if t_pnorm < pnorm:
                 vals = trial
                 dual, lam, resid, pnorm = t_dual, t_lam, t_resid, t_pnorm
-                improved = True
+                break
+            if pnorm <= grad_tol:
+                # the full step did not lower a residual already at the
+                # stopping tolerance: what is left is roundoff
+                stop = "floor"
                 break
             scale *= 0.5
-        if not improved:
+        else:
             stop = "no_descent"
+        if stop != "max_iters":
             break
         steps += 1
     if pnorm <= tol:
@@ -447,7 +485,7 @@ def local_minimize(p, init, opts=None):
     # higher critical point), so candidates that raise the energy beyond the
     # evaluation noise are discarded.
     val_pre = last.value
-    cand, newton = _newton_polish(g, vals, p, 0.1 * opts.grad_tol)
+    cand, newton = _newton_polish(g, vals, p, opts.grad_tol)
     if eval_fn(cand).value <= val_pre + 1e-12 + 1e-9 * abs(val_pre):
         vals = cand
     return _report(
@@ -505,7 +543,7 @@ def ground_state_minimax(p, init, opts=None):
     if abs(last.t - 1.0) > 1e-12:
         vals = fiber_scale(RadialFunction(g, vals), last.t).values
         vals = _retract(W, np.asarray(vals, dtype=float), p.c)
-    vals, newton = _newton_polish(g, vals, p, 0.1 * opts.grad_tol)
+    vals, newton = _newton_polish(g, vals, p, opts.grad_tol)
     return _report(
         RadialFunction(g, vals), p, opts, "minimax_ground_state", history, descent, newton
     )

@@ -315,9 +315,12 @@ def test_known_small_mass_stall_is_reported():
 @pytest.mark.parametrize("solve", [_ground, _valley])
 def test_report_names_stops_and_counts_work(solve):
     _, rpt = solve()
-    assert rpt.descent_stop in ("tol", "stalled", "step_underflow", "max_iters")
+    assert rpt.descent_stop in (
+        "tol", "noise_floor", "stalled", "step_underflow", "max_iters"
+    )
     assert rpt.newton_stop in (
-        "tol", "lu_failed", "singular_border", "non_finite", "no_descent", "max_iters"
+        "tol", "floor", "lu_failed", "singular_border", "non_finite", "no_descent",
+        "max_iters",
     )
     # one value for the start point and one per line-search trial, each
     # trial either accepted or backtracked; one factorization per descent
@@ -330,6 +333,99 @@ def test_report_names_stops_and_counts_work(solve):
     for n in (rpt.iterations, rpt.backtracks, rpt.value_evals, rpt.grad_evals,
               rpt.newton_steps, rpt.factorizations):
         assert type(n) is int
+
+
+# (problem, initializer, phi, value_evals): phi and the value count frozen
+# from the stall rule alone, which ran 25 idle iterations past the Armijo
+# noise floor; stopping at the floor must keep phi and use fewer values
+_FLOOR_CASES = {
+    "ground_q3.5": (lambda: problem(3, 1.5, 1.5, 3.5),
+                    lambda p: concentration_init(p, seed=2),
+                    3.9519388045093975, 131),
+    "valley": (lambda: problem(3, C_HALF, 1.0, 2.5), gaussian_valley_init,
+               -1.981625708338877, 128),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_FLOOR_CASES))
+def test_descent_stops_at_the_armijo_noise_floor(case):
+    make_p, init, phi_stalled, evals_stalled = _FLOOR_CASES[case]
+    if case == "valley":
+        rpt = _valley()[1]
+    else:
+        p = make_p()
+        rpt = ground_state_minimax(p, init(p))
+    assert rpt.converged
+    assert rpt.descent_stop == "noise_floor"
+    assert rpt.energy_report.phi == pytest.approx(phi_stalled, rel=1e-12)
+    # 58 (ground) and 60 (valley) values at the floor stop
+    assert rpt.value_evals < evals_stalled
+
+
+@pytest.mark.parametrize("case", sorted(_FLOOR_CASES))
+def test_descent_evaluates_no_trial_below_the_armijo_floor(case, monkeypatch):
+    seen = {}
+    descend = solvers._descend
+
+    def spy(g, vals, p, opts, eval_fn, **kwargs):
+        calls = []
+
+        def counted(v):
+            point = eval_fn(v)
+            calls.append((v, point))
+            return point
+
+        out = descend(g, vals, p, opts, counted, **kwargs)
+        seen.update(g=g, cap=kwargs.get("cap"), calls=calls, work=out[3])
+        return out
+
+    monkeypatch.setattr(solvers, "_descend", spy)
+    make_p, init, _, _ = _FLOOR_CASES[case]
+    p = make_p()
+    solve = local_minimize if case == "valley" else ground_state_minimax
+    solve(p, init(p))
+    g, cap, calls, work = seen["g"], seen["cap"], seen["calls"], seen["work"]
+    assert work["descent_stop"] == "noise_floor"
+    assert len(calls) == work["value_evals"]
+
+    # replay the line search: recover each trial's step from the retracted
+    # trial (z is W-orthogonal to the iterate, so <trial, z>_W / <trial, u>_W
+    # = -step |z|_W^2 / c) and check that the Armijo test still resolved the
+    # demanded decrease when the trial was evaluated
+    W = g.omega_N * g.weights
+    riesz = _riesz_solver(W, g.stiffness)
+
+    def direction(vals, point):
+        dual = point.grad()
+        resid = dual - (float(dual @ vals) / p.c) * (W * vals)
+        z = riesz(resid)
+        z -= (float(W @ (z * vals)) / p.c) * vals
+        return z, float(dual @ z)
+
+    vals, point = calls[0]
+    z, slope = direction(vals, point)
+    for trial, t_point in calls[1:]:
+        step = -p.c * float(W @ (trial * z)) / (
+            float(W @ (trial * vals)) * float(W @ (z * z))
+        )
+        demand = point.value - 1e-4 * step * slope
+        assert demand < point.value
+        if (cap is None or t_point.grad_sq < cap) and t_point.value <= demand:
+            vals, point = trial, t_point
+            z, slope = direction(vals, point)
+            step = min(step * 1.5, 64.0)
+        else:
+            step *= 0.5
+    # the step the descent held when it stopped demands less than one ulp
+    assert point.value - 1e-4 * step * slope == point.value
+
+
+@pytest.mark.parametrize("kw", [{}, {"seed": 1}, {"seed": 2}, {"c": 2.0}])
+def test_converged_ground_state_polish_ends_at_tol_or_floor(kw):
+    _, rpt = _ground(**kw)
+    assert rpt.converged
+    assert rpt.newton_stop in ("tol", "floor")
+    assert rpt.energy_report.kkt_residual <= SolveOptions().grad_tol
 
 
 def test_anchor_descent_evaluates_each_point_once(monkeypatch):
