@@ -443,11 +443,17 @@ def kkt_residual(u, p):
     g = u.grid
     W = g.omega_N * g.weights
     gp = _GridPass(g, u.values, p, W)
-    grad = gp.gradient(p) / W                  # L^2_h representation
-    m = gp.bundle.mass
-    coef = float(W @ (grad * u.values)) / m    # = the discrete multiplier
-    tang = grad - coef * u.values
-    return float(np.sqrt(W @ (tang * tang)))
+    return _tangential_residual(gp.gradient(p), u.values, W, gp.bundle.mass)[2]
+
+
+def _tangential_residual(dual, v, W, m):
+    """The discrete multiplier lam = <dual, v> / m, the tangential residual
+    dual - lam W v of a dual gradient at v on the sphere of mass m, and the
+    L^2_h norm sqrt(resid' W^-1 resid) of its weighted-L^2 representative.
+    """
+    lam = float(dual @ v) / m
+    resid = dual - lam * (W * v)
+    return lam, resid, float(np.sqrt(resid @ (resid / W)))
 
 
 def normalize_mass(u, c):

@@ -1,8 +1,15 @@
-"""Constrained descent on the mass sphere: the local minimizer inside the
-gradient-norm well, the minimax ground state through the fiber-maximum
-envelope, and the dilation mountain-pass path.
+"""Constrained descent on the mass sphere: the local minimizer and the
+minimax ground state through the dilation-fiber envelopes, and the dilation
+mountain-pass path.
 
-All solvers retract to the sphere by exact mass renormalization after every
+Both solvers descend an envelope Psi(u) = Phi(u_t(u)), t(u) a critical point
+of u's dilation fiber t -> Phi(t^(N/2) u(t.)): its minimum (on P+) for the
+local minimizer, its maximum (on P-) for the ground state.  The envelope
+theorem gives the gradient at fixed t(u), and the dilation direction drops
+out.  A trial without such a fiber point is valued +inf and rejected.  The
+final iterate is re-centered on its fiber point and polished by Newton.
+
+The descents retract to the sphere by exact mass renormalization after every
 step, so the constraint is satisfied to roundoff at each iterate.  Search
 directions are Sobolev-preconditioned projected gradients (an H^1 Riesz
 solve per step -- one tridiagonal back-substitution), with Armijo
@@ -28,6 +35,7 @@ from scipy.linalg.lapack import dgtsv, dpttrf, dpttrs
 from .constants import thresholds
 from .errors import (
     HypothesisError,
+    NoCriticalPointError,
     NumericalError,
     ParameterError,
     ScanExhaustedError,
@@ -35,13 +43,14 @@ from .errors import (
 from .functionals import (
     _check_mu_below_alpha,
     _GridPass,
+    _tangential_residual,
     energy_report,
     fiber_energy,
     fiber_scale,
     normalize_mass,
 )
 from .grid import RadialFunction, make_grid, mass
-from .manifold import manifold_projection
+from .manifold import fiber_critical_points, manifold_projection
 from .bubbles import _build_cross, _superposition_bundle, bubble_grid, truncated_instanton
 
 __all__ = [
@@ -80,7 +89,7 @@ class SolutionReport:
     level_name: str            # "local_min" | "minimax_ground_state"
     iterations: int            # descent iterations
     converged: bool
-    history: list              # per-iteration (phi, projected-grad norm, grad_sq)
+    history: list              # per-iteration (Psi, projected-grad norm, grad_sq)
     descent_stop: str          # "tol": residual <= grad_tol
                                # | "noise_floor": Armijo decrease below one ulp
                                # | "stalled": 25 iterations without progress
@@ -91,7 +100,7 @@ class SolutionReport:
                                # | "no_descent": 8 damped steps failed above it
                                # | "lu_failed" | "singular_border" | "non_finite"
                                # | "max_iters"
-    backtracks: int            # descent trials rejected (Armijo test or cap)
+    backtracks: int            # descent trials rejected (Armijo test or no fiber point)
     value_evals: int           # descent evaluator values (start point + trials)
     grad_evals: int            # descent evaluator gradients (one per iterate)
     newton_steps: int          # accepted Newton steps
@@ -140,22 +149,22 @@ def _riesz_solver(W, K):
 class _Point(NamedTuple):
     """One evaluated descent point."""
 
-    value: float
+    value: float        # the envelope value; +inf without a fiber point
     grad: Callable      # grad() -> the dual gradient at the point
     grad_sq: float      # its stiffness form v K v
-    t: float = 1.0      # its fiber maximum (1 for the plain energy)
+    t: float            # its fiber critical point
 
 
-def _descend(g, vals, p, opts, eval_fn, cap=None, value_progress=True):
+def _descend(g, vals, p, opts, eval_fn):
     """Sobolev-preconditioned projected descent on the mass sphere.
 
     eval_fn(vals) -> _Point.  An evaluator makes one `_GridPass` over the
     grid: the value, the stiffness form and the gradient closure all read
     the same K v and force powers, so a point costs one sparse matvec
     however much of it the descent uses.  Line-search trials need only the
-    value and the stiffness form; the accepted trial's point is carried into
-    the next iteration, so every iterate costs one gradient, and the history
-    row and the cap test take its stiffness form from the bundle.
+    value; the accepted trial's point is carried into the next iteration,
+    so every iterate costs one gradient, and the history row takes its
+    stiffness form from the bundle.
 
     The raw Euclidean gradient of the discrete energy is useless as a search
     direction on graded grids (the weighted-L^2 representation blows up like
@@ -164,9 +173,8 @@ def _descend(g, vals, p, opts, eval_fn, cap=None, value_progress=True):
     -- the H^1 Riesz representative of the tangentially projected gradient,
     with M_w + K factored once per descent (`_riesz_solver`).  The slope along
     -z is exactly -(resid' A^-1 resid) < 0, so Armijo backtracking always
-    terminates.  cap, when given, is an upper bound on the stiffness form;
-    violating trials are rejected with a halved step (and counted as
-    backtracks), never projected back.
+    terminates.  A trial valued +inf fails the Armijo test like any other
+    and is counted as a backtrack.
 
     Stopping.  "tol" when the weighted-L^2 projected-gradient norm (the
     residual energy_report carries) reaches opts.grad_tol.  "noise_floor"
@@ -174,22 +182,15 @@ def _descend(g, vals, p, opts, eval_fn, cap=None, value_progress=True):
     the value (val - 1e-4 * step * slope == val): from there the test could
     only compare rounding, so the descent hands over to Newton without
     evaluating the trial.  This is how a converging run usually ends.
-    "stalled" after 25 iterations without progress while the demanded
-    decrease is still above that floor: a real stall (the pure-critical
-    run, small c * mu).  "step_underflow" when 60 halvings find no
-    acceptable step, and "max_iters".
+    "stalled" after 25 iterations in which the residual norm did not fall
+    1% below its best while the demanded decrease is still above that
+    floor: a real stall (the pure-critical run, small c * mu).
+    "step_underflow" when 60 halvings find no acceptable step, "max_iters".
 
     Returns (vals, point, history, work): point is the _Point of the final
     vals, and work holds the descent's share of the SolutionReport fields --
     iterations, descent_stop, backtracks, value_evals, grad_evals and
     factorizations.
-
-    value_progress widens the stagnation test: a monotone value decrease
-    counts as progress even while the residual norm stalls.  That is right
-    for minimizing a functional bounded below on the feasible set (the slow
-    spreading crawl of the valley minimizer), and wrong for the fiber-
-    maximum envelope, whose infimum over the whole sphere is a degenerate
-    spreading limit -- there the residual plateau is the stopping signal.
     """
     W = g.omega_N * g.weights
     c = p.c
@@ -198,7 +199,6 @@ def _descend(g, vals, p, opts, eval_fn, cap=None, value_progress=True):
     step = opts.step0
     history = []
     best = np.inf
-    best_val = np.inf
     stale = 0
     it = 0
     stop = "max_iters"
@@ -209,21 +209,13 @@ def _descend(g, vals, p, opts, eval_fn, cap=None, value_progress=True):
         val = point.value
         dual = point.grad()
         grad_evals += 1
-        lam = float(dual @ vals) / c
-        resid = dual - lam * (W * vals)
-        pnorm = float(np.sqrt(resid @ (resid / W)))
+        _, resid, pnorm = _tangential_residual(dual, vals, W, c)
         history.append((val, pnorm, point.grad_sq))
         if pnorm <= opts.grad_tol:
             stop = "tol"
             break
-        # progress = the residual shrank 1%, or (when value progress counts)
-        # the value moved by more than the evaluation noise floor
-        improved = pnorm < 0.99 * best
-        if value_progress and val < best_val - (1e-12 + 1e-9 * abs(best_val)):
-            improved = True
-        best_val = min(best_val, val)
-        if improved:
-            best = min(best, pnorm)
+        if pnorm < 0.99 * best:
+            best = pnorm
             stale = 0
         else:
             stale += 1
@@ -243,7 +235,7 @@ def _descend(g, vals, p, opts, eval_fn, cap=None, value_progress=True):
             trial = _retract(W, vals - step * z, c)
             t_point = eval_fn(trial)
             value_evals += 1
-            if (cap is None or t_point.grad_sq < cap) and t_point.value <= armijo:
+            if t_point.value <= armijo:
                 break
             backtracks += 1
             step *= 0.5
@@ -261,30 +253,28 @@ def _descend(g, vals, p, opts, eval_fn, cap=None, value_progress=True):
 
 
 def _kkt_state(g, W, vals, p):
-    dual = _GridPass(g, vals, p, W).gradient(p)
-    lam = float(dual @ vals) / p.c
-    resid = dual - lam * (W * vals)
-    return dual, lam, resid, float(np.sqrt(resid @ (resid / W)))
+    """(dual, lam, resid, pnorm, gp): the energy's dual gradient at vals, the
+    multiplier, the tangential residual, its L^2_h norm and their pass."""
+    gp = _GridPass(g, vals, p, W)
+    dual = gp.gradient(p)
+    return (dual, *_tangential_residual(dual, vals, W, p.c), gp)
 
 
-def _newton_step(g, W, vals, p, lam, resid):
+def _newton_step(g, gp, p, lam, resid):
     """One bordered Newton step on the constrained Euler-Lagrange system.
 
     Solves [[J, -W u], [(W u)', 0]] (du, dlam) = (-resid, 0) with
     J = K - diag(W (f'(u) + lam)) by one tridiagonal LAPACK solve (dgtsv)
-    with the two right-hand sides -resid and W u.  Returns (du, dlam, None),
-    or (None, None, reason) with reason one of "lu_failed" (J exactly
-    singular), "non_finite" or "singular_border".
+    with the two right-hand sides -resid and W u.  f'(u) = mu (q-1) f_q +
+    (2*-1) f_c takes the force powers of the pass gp at u.  Returns
+    (du, dlam, None), or (None, None, reason) with reason one of
+    "lu_failed" (J exactly singular), "non_finite" or "singular_border".
     """
-    av = np.abs(vals)
-    fprime = (
-        p.mu * (p.q - 1.0) * av ** (p.q - 2.0)
-        + (p.two_star - 1.0) * av ** (p.two_star - 2.0)
-    )
+    fprime = p.mu * (p.q - 1.0) * gp.fq + (p.two_star - 1.0) * gp.fc
     K = g.stiffness
     off = K.diagonal(1)
-    wu = W * vals
-    *_, x, info = dgtsv(off, K.diagonal() - W * (fprime + lam), off,
+    wu = gp.W * gp.v
+    *_, x, info = dgtsv(off, K.diagonal() - gp.W * (fprime + lam), off,
                         np.column_stack([-resid, wu]))
     if info != 0:
         return None, None, "lu_failed"
@@ -317,18 +307,24 @@ def _newton_polish(g, vals, p, grad_tol, max_iters=40):
     "lu_failed", "singular_border" and "non_finite" come from
     `_newton_step`.
 
+    Guard: a result whose energy Phi exceeds Phi at the start beyond the
+    evaluation noise has left the basin, and the start is returned instead.
+    Both values come from `_kkt_state`'s passes.  It compares Phi, not the
+    envelope, whose minimum may sit below the discrete critical level.
+
     Returns (vals, work): work holds newton_stop, newton_steps (accepted)
     and factorizations.
     """
     W = g.omega_N * g.weights
     tol = 0.1 * grad_tol
-    dual, lam, resid, pnorm = _kkt_state(g, W, vals, p)
+    _, lam, resid, pnorm, gp = _kkt_state(g, W, vals, p)
+    start, phi0 = vals, fiber_energy(gp.bundle, p, 1.0)
     stop = "max_iters"
     steps = factorizations = 0
     for _ in range(max_iters):
         if pnorm <= tol:
             break
-        du, _, reason = _newton_step(g, W, vals, p, lam, resid)
+        du, _, reason = _newton_step(g, gp, p, lam, resid)
         factorizations += 1
         if reason is not None:
             stop = reason
@@ -337,10 +333,10 @@ def _newton_polish(g, vals, p, grad_tol, max_iters=40):
         scale = 1.0
         for _ in range(8):
             trial = _retract(W, vals + scale * du, p.c)
-            t_dual, t_lam, t_resid, t_pnorm = _kkt_state(g, W, trial, p)
-            if t_pnorm < pnorm:
+            t_state = _kkt_state(g, W, trial, p)
+            if t_state[3] < pnorm:
                 vals = trial
-                dual, lam, resid, pnorm = t_dual, t_lam, t_resid, t_pnorm
+                _, lam, resid, pnorm, gp = t_state
                 break
             if pnorm <= grad_tol:
                 # the full step did not lower a residual already at the
@@ -355,8 +351,42 @@ def _newton_polish(g, vals, p, grad_tol, max_iters=40):
         steps += 1
     if pnorm <= tol:
         stop = "tol"
+    if fiber_energy(gp.bundle, p, 1.0) > phi0 + 1e-12 + 1e-9 * abs(phi0):
+        vals = start
     work = dict(newton_stop=stop, newton_steps=steps, factorizations=factorizations)
     return vals, work
+
+
+def _on_sphere(p, init):
+    """(grid, W, vals) of an init on the mass sphere to 1e-6, retracted."""
+    if abs(mass(init) - p.c) > 1e-6 * p.c:
+        raise ParameterError(
+            f"initializer mass {mass(init):g} is off the target sphere c = {p.c:g}"
+        )
+    g = init.grid
+    W = g.omega_N * g.weights
+    return g, W, _retract(W, np.asarray(init.values, dtype=float), p.c)
+
+
+def _envelope_solve(g, W, vals, p, opts, fiber_point, level_name):
+    """Descend Psi(u) = Phi(u_t(u)), t(u) = fiber_point(nb, p).t (value +inf
+    when it returns None), re-center on t and polish.  The re-centering is an
+    interpolated dilation that only shapes Newton's initial guess; the grid
+    never changes, so restarts converge to the grid's one critical point."""
+    def eval_fn(v):
+        gp = _GridPass(g, v, p, W)
+        nb = gp.bundle
+        pt = fiber_point(nb, p)
+        if pt is None:
+            return _Point(np.inf, None, nb.grad_sq, np.nan)
+        return _Point(pt.value, lambda: gp.gradient(p, pt.t), nb.grad_sq, pt.t)
+
+    vals, last, history, descent = _descend(g, vals, p, opts, eval_fn)
+    if abs(last.t - 1.0) > 1e-12:
+        vals = fiber_scale(RadialFunction(g, vals), last.t).values
+        vals = _retract(W, np.asarray(vals, dtype=float), p.c)
+    vals, newton = _newton_polish(g, vals, p, opts.grad_tol)
+    return _report(RadialFunction(g, vals), p, opts, level_name, history, descent, newton)
 
 
 def _report(u, p, opts, level_name, history, descent, newton):
@@ -442,13 +472,24 @@ def concentration_init(p, grid=None, seed=0, n=12):
 # local minimizer in V(c)
 # ----------------------------------------------------------------------------
 
-def local_minimize(p, init, opts=None):
-    """Projected-gradient descent for the local minimum inside V(c).
+def _fiber_minimum(nb, p):
+    """The fiber's local minimum (its 'plus' critical point, on P+), or None."""
+    for pt in fiber_critical_points(nb, p):
+        if pt.second_derivative_sign == "plus":
+            return pt
+    return None
 
-    V(c) is the part of the mass sphere with ||grad u||^2 < rho0(c); the
-    minimum there is interior, so trial steps that would cross the cap are
-    rejected with a halved step rather than projected back.  The converged
-    profile has negative energy and a negative multiplier.
+
+def local_minimize(p, init, opts=None):
+    """The local minimum inside V(c), by descent of the fiber-minimum envelope.
+
+    V(c) is the part of the mass sphere with ||grad u||^2 < rho0(c).  The
+    level descended is Psi+(u) = Phi(u_t+), t+ the local minimum of u's
+    dilation fiber, so the near-flat dilation direction never slows the
+    descent; a trial whose fiber has no minimum is rejected.  The start must
+    lie in V(c) (else ParameterError) and have a fiber minimum (else
+    NoCriticalPointError).  The converged profile has negative energy and a
+    negative multiplier.
     """
     opts = SolveOptions() if opts is None else opts
     if not p.mass_subcritical:
@@ -459,38 +500,19 @@ def local_minimize(p, init, opts=None):
             f"mass c = {p.c:g} is not below the critical mass c0 = {rep.c0:g}; "
             "the local-minimization zone is empty"
         )
-    cap = rep.rho0
-
-    g = init.grid
-    if abs(mass(init) - p.c) > 1e-6 * p.c:
+    g, W, vals = _on_sphere(p, init)
+    nb = _GridPass(g, vals, p, W).bundle
+    if nb.grad_sq >= rep.rho0:
         raise ParameterError(
-            f"initializer mass {mass(init):g} is off the target sphere c = {p.c:g}"
+            f"initializer has ||grad||^2 = {nb.grad_sq:g} >= rho0 = {rep.rho0:g}; "
+            "start inside V(c)"
         )
-    W = g.omega_N * g.weights
-    vals = _retract(W, np.asarray(init.values, dtype=float), p.c)
-    a0 = float(vals @ (g.stiffness @ vals))
-    if a0 >= cap:
-        raise ParameterError(
-            f"initializer has ||grad||^2 = {a0:g} >= cap {cap:g}; start inside V(c)"
+    if _fiber_minimum(nb, p) is None:
+        raise NoCriticalPointError(
+            "the initializer's dilation fiber has no local minimum, so it has "
+            f"no P+ point to descend from (c = {p.c:g}, c0 = {rep.c0:g})"
         )
-
-    def eval_fn(v):
-        gp = _GridPass(g, v, p, W)
-        nb = gp.bundle
-        return _Point(fiber_energy(nb, p, 1.0), lambda: gp.gradient(p), nb.grad_sq)
-
-    vals, last, history, descent = _descend(g, vals, p, opts, eval_fn, cap=cap)
-    # Newton endgame, guarded: for a minimization run the polish must not buy
-    # a smaller residual at the price of leaving the basin (jumping to some
-    # higher critical point), so candidates that raise the energy beyond the
-    # evaluation noise are discarded.
-    val_pre = last.value
-    cand, newton = _newton_polish(g, vals, p, opts.grad_tol)
-    if eval_fn(cand).value <= val_pre + 1e-12 + 1e-9 * abs(val_pre):
-        vals = cand
-    return _report(
-        RadialFunction(g, vals), p, opts, "local_min", history, descent, newton
-    )
+    return _envelope_solve(g, W, vals, p, opts, _fiber_minimum, "local_min")
 
 
 # ----------------------------------------------------------------------------
@@ -501,14 +523,10 @@ def ground_state_minimax(p, init, opts=None):
     """Descend the fiber-maximum envelope over the mass sphere.
 
     The level minimized is Psi(u) = max_t Phi(t^(N/2) u(t.)), computed in
-    closed form from the norm bundle; its gradient follows from the envelope
-    theorem with the fiber maximum t*(u) held fixed.  Psi is invariant along
-    fibers, so the iterate stays on the initializer's grid throughout.  Once
-    the descent flattens, the iterate is re-centered on its fiber maximum
-    (an interpolated dilation -- only the quality of the Newton initial
-    guess depends on it) and handed to the Euler-Lagrange polish.  The grid
-    never changes, so independent restarts converge to the one discrete
-    critical point of the grid, not to grid-shifted copies of it.
+    closed form from the norm bundle (`manifold_projection`); its gradient
+    follows from the envelope theorem with the fiber maximum t*(u) held
+    fixed.  Psi is invariant along fibers, so the iterate stays on the
+    initializer's grid throughout.
 
     At mu = 0 no minimizer exists (the level is only approached along
     concentrating bubbles), so the run is expected to stall above the
@@ -519,34 +537,9 @@ def ground_state_minimax(p, init, opts=None):
     if p.mass_subcritical:
         raise HypothesisError("ground_state_minimax requires q >= 2 + 4/N")
     _check_mu_below_alpha(p)
-    g = init.grid
-    if abs(mass(init) - p.c) > 1e-6 * p.c:
-        raise ParameterError(
-            f"initializer mass {mass(init):g} is off the target sphere c = {p.c:g}"
-        )
-    W = g.omega_N * g.weights
-    vals = _retract(W, np.asarray(init.values, dtype=float), p.c)
-
-    def eval_fn(v):
-        gp = _GridPass(g, v, p, W)
-        nb = gp.bundle
-        pt = manifold_projection(nb, p)   # projection failures propagate
-        return _Point(pt.value, lambda: gp.gradient(p, pt.t), nb.grad_sq, pt.t)
-
-    vals, last, history, descent = _descend(
-        g, vals, p, opts, eval_fn, value_progress=False
-    )
-
-    # re-center on the fiber maximum the descent found for the final iterate
-    # (Newton initial guess only), then refine on the plain Euler-Lagrange
-    # system at fixed grid
-    if abs(last.t - 1.0) > 1e-12:
-        vals = fiber_scale(RadialFunction(g, vals), last.t).values
-        vals = _retract(W, np.asarray(vals, dtype=float), p.c)
-    vals, newton = _newton_polish(g, vals, p, opts.grad_tol)
-    return _report(
-        RadialFunction(g, vals), p, opts, "minimax_ground_state", history, descent, newton
-    )
+    g, W, vals = _on_sphere(p, init)
+    # manifold_projection's failures propagate
+    return _envelope_solve(g, W, vals, p, opts, manifold_projection, "minimax_ground_state")
 
 
 # ----------------------------------------------------------------------------
