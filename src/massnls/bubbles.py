@@ -39,7 +39,6 @@ from .errors import (
 from .functionals import (
     NormBundle,
     _check_mu_below_alpha,
-    _GridPass,
     energy,
     fiber_energy,
     problem,
@@ -531,8 +530,9 @@ def superpose(u_c, U_n, t, c=None):
     error enters.  Every norm of W then costs a new grid (and, for the
     kinetic term, a new stiffness matrix), so the subcritical scan and the
     mountain-pass path use the cross-term route (`_build_cross`,
-    `_superposition_bundle`) instead; this construction is the reference
-    that route is tested against.
+    `_superposition_bundle`) instead, which takes all their weights in one
+    blocked pass over the bubble's support; this construction is the
+    reference that route is tested against.
     """
     if t < 0.0:
         raise ParameterError(f"superposition weight must be nonnegative, got {t}")
@@ -555,15 +555,27 @@ def superpose(u_c, U_n, t, c=None):
     return RadialFunction(scaled, tau ** ((g.N - 2) / 2.0) * v)
 
 
+# elements of one block of rows u_c + t U_n on the bubble's support: the block
+# and the force power built from it (256 KB each) stay in a core's L2 cache
+_BLOCK = 2 ** 15
+
+
 def _build_cross(p, u_c, U_n, c):
     """The pieces of u_c + t U_n that the superposition norms need at every t.
 
     Mass and stiffness form are quadratic in t, so three coefficients each
     (two sparse matvecs, six dot products on the shared grid) fix them for
     every t.  The Lebesgue norms are not polynomial in t; the "lebesgue"
-    callable takes them, with the direct mass, in one O(M) `_GridPass`
-    without the stiffness per t.
-    c is the target mass of W(t).
+    callable takes them, with the direct mass, by quadrature.  Off the
+    support of U_n the sum is u_c at every t, so those nodes are summed once
+    here; on the support "lebesgue" forms one row u_c + t U_n per weight, in
+    blocks of at most `_BLOCK` elements, and reduces each row with three
+    dot products against the nodal volume weights.  A row's sums do not
+    depend on the other rows of its block (`np.vecdot` takes one dot per
+    row; a matrix-vector product would not), so the norms at a weight are
+    the same to the last bit whether it comes alone or in an array.  It
+    takes a scalar t (a block of one row, three floats back) or an array of
+    weights (three arrays of its shape).  c is the target mass of W(t).
     """
     if not u_c.grid.same_layout(U_n.grid):
         raise ParameterError("the superposition needs both profiles on one grid")
@@ -571,10 +583,35 @@ def _build_cross(p, u_c, U_n, c):
     W = g.omega_N * g.weights
     u, U = u_c.values, U_n.values
     Ku = g.stiffness @ u
+    e_q, e_c = (p.q - 2.0) / 2.0, (p.two_star - 2.0) / 2.0
+
+    on = U != 0.0
+    u_s, U_s, W_s = u[on], U[on], W[on]
+    w2 = u[~on] ** 2
+    fixed = np.array([W[~on] @ w2, W[~on] @ (w2 ** e_q * w2), W[~on] @ (w2 ** e_c * w2)])
+    rows = max(1, _BLOCK // max(1, u_s.size))
 
     def lebesgue(t):
-        nb = _GridPass(g, u + t * U, p, W, stiffness=False).bundle
-        return nb.mass, nb.lq, nb.lcrit
+        t = np.asarray(t, dtype=float)
+        ts = t.reshape(-1)
+        sums = np.empty((3, ts.size))
+        v2_buf = np.empty((min(rows, ts.size), u_s.size))
+        f_buf = np.empty_like(v2_buf)
+        for k in range(0, ts.size, rows):
+            tk = ts[k:k + rows, None]
+            v2, f = v2_buf[:tk.size], f_buf[:tk.size]
+            np.multiply(tk, U_s, out=v2)
+            v2 += u_s
+            v2 *= v2
+            sums[0, k:k + rows] = np.vecdot(v2, W_s)
+            for i, e in ((1, e_q), (2, e_c)):
+                np.power(v2, e, out=f)
+                f *= v2
+                sums[i, k:k + rows] = np.vecdot(f, W_s)
+        sums += fixed[:, None]
+        if t.ndim == 0:
+            return tuple(float(s[0]) for s in sums)
+        return tuple(s.reshape(t.shape) for s in sums)
 
     return {
         "c": float(c),
@@ -595,7 +632,9 @@ def _superposition_bundle(p, cross, t):
     gradient and critical norms of W(t) are those of v and
     ||W(t)||_q^q = tau^(((N-2)q-2N)/2) ||v||_q^q.  The mass returned is the
     discrete mass of W(t), c (W @ v^2) / m(t): it differs from c only by
-    the roundoff of the quadratic expansion.
+    the roundoff of the quadratic expansion.  t is a scalar weight (float
+    fields) or an array of weights (array fields of its shape, one
+    `lebesgue` call for all of them).
     """
     m_v = cross["m_a"] + 2.0 * t * cross["m_x"] + t * t * cross["m_b"]
     g_v = cross["g_a"] + 2.0 * t * cross["g_x"] + t * t * cross["g_b"]
@@ -646,11 +685,12 @@ def threshold_scan_subcritical(p, u_c, n_list):
     profile u_c, which must lie on the mass sphere c = p.c (to 1e-6
     relative).  W(t) is the mass-c dilation of u_c + t U_n, and the sup
     over t of its energy is compared against Phi(u_c) + S^(N/2)/N.  The sup
-    is taken on 25 log-spaced weights in [1e-3, 1e3], then refined by one
-    bounded Brent maximization in s = log t over the two cells around the
-    grid argmax.  An n whose grid argmax is an end of that range has no
-    interior maximum in it and gives a diagnostic non-passing row (sup_t
-    NaN, the reason in `note`).  Records are returned in n order together
+    is taken on 25 log-spaced weights in [1e-3, 1e3], evaluated in one
+    array call of the cross-term route, then refined by one bounded Brent
+    maximization in s = log t over the two cells around the grid argmax.
+    An n whose grid argmax is an end of that range has no interior maximum
+    in it and gives a diagnostic non-passing row (sup_t NaN, the reason in
+    `note`).  Records are returned in n order together
     with the first passing n (if any).
     """
     if not p.mass_subcritical:
@@ -672,10 +712,9 @@ def threshold_scan_subcritical(p, u_c, n_list):
         cross = _build_cross(p, uc_g, U, c=p.c)
 
         def phi(t):
-            nb = _superposition_bundle(p, cross, t)
-            return float(fiber_energy(nb, p, 1.0))
+            return fiber_energy(_superposition_bundle(p, cross, t), p, 1.0)
 
-        vals = [phi(t) for t in _T_GRID]
+        vals = phi(_T_GRID)
         k = int(np.argmax(vals))
         if k in (0, len(_T_GRID) - 1):
             return ScanRecord(
@@ -689,7 +728,7 @@ def threshold_scan_subcritical(p, u_c, n_list):
         )
         t_best, sup_v = float(np.exp(res.x)), -float(res.fun)
         if vals[k] > sup_v:
-            t_best, sup_v = float(_T_GRID[k]), vals[k]
+            t_best, sup_v = float(_T_GRID[k]), float(vals[k])
         nb = _superposition_bundle(p, cross, t_best)
         return ScanRecord(
             n, float(nb.mass), float(nb.grad_sq), float(nb.lcrit), float(nb.lq),

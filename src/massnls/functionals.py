@@ -25,7 +25,6 @@ psi(t) = (t^{q gamma_q}-1)/q + gamma_q (1-t^2)/2 >= 0 for q >= 2+4/N.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -150,11 +149,10 @@ def stiff_bundle(grid, vals, p):
 class _GridPass:
     """The nodal pieces that the energy of a profile and its gradient share.
 
-    One pass over the nodal values v takes v^2, K v (K the P1 stiffness;
-    skipped when `stiffness` is False) and the two force powers
-    f_q = (v^2)^((q-2)/2) = |v|^(q-2) and f_c = (v^2)^((2*-2)/2).  The norm
-    bundle (m = W v^2, a = v K v, ||v||_q^q = W f_q v^2 and
-    ||v||_{2*}^{2*} = W f_c v^2; a is NaN without the stiffness) and the
+    One pass over the nodal values v takes v^2, K v (K the P1 stiffness)
+    and the two force powers f_q = (v^2)^((q-2)/2) = |v|^(q-2) and
+    f_c = (v^2)^((2*-2)/2).  The norm bundle (m = W v^2, a = v K v,
+    ||v||_q^q = W f_q v^2 and ||v||_{2*}^{2*} = W f_c v^2) and the
     dilated dual gradient are built from these, so a descent point pays for
     each piece once.  Powers of v^2 rather than of |v| put the integer
     exponents of N = 3 and 4 (f_c = (v^2)^2 and (v^2)^1, and f_q at q = 4)
@@ -162,16 +160,16 @@ class _GridPass:
     weights omega_N * weights, may be passed in by a caller that holds them.
     """
 
-    def __init__(self, grid, v, p, W=None, stiffness=True):
+    def __init__(self, grid, v, p, W=None):
         W = grid.omega_N * grid.weights if W is None else W
         v2 = v * v
         self.W, self.v = W, v
         self.fq = v2 ** ((p.q - 2.0) / 2.0)
         self.fc = v2 ** ((p.two_star - 2.0) / 2.0)
-        self.Kv = grid.stiffness @ v if stiffness else None
+        self.Kv = grid.stiffness @ v
         self.bundle = NormBundle(
             float(W @ v2),
-            float(v @ self.Kv) if stiffness else math.nan,
+            float(v @ self.Kv),
             float(W @ (self.fq * v2)),
             float(W @ (self.fc * v2)),
         )

@@ -94,6 +94,8 @@ class SolutionReport:
                                # | "noise_floor": Armijo decrease below one ulp
                                # | "stalled": 25 iterations without progress
                                # | "step_underflow": 60 halvings, no step taken
+                               # | "fiber_edge": either of the two above after a
+                               #   trial without a fiber point (valued +inf)
                                # | "max_iters"
     newton_stop: str           # "tol": residual <= grad_tol / 10
                                # | "floor": full step failed at residual <= grad_tol
@@ -186,6 +188,10 @@ def _descend(g, vals, p, opts, eval_fn):
     1% below its best while the demanded decrease is still above that
     floor: a real stall (the pure-critical run, small c * mu).
     "step_underflow" when 60 halvings find no acceptable step, "max_iters".
+    Either of the two line-search stops is reported as "fiber_edge" instead
+    when that iteration rejected a trial valued +inf: the step shrank at the
+    edge of the envelope's domain (for the fiber minimum, where it merges
+    with the fiber maximum), not at a rounding floor of the value.
 
     Returns (vals, point, history, work): point is the _Point of the final
     vals, and work holds the descent's share of the SolutionReport fields --
@@ -225,6 +231,7 @@ def _descend(g, vals, p, opts, eval_fn):
         z = riesz(resid)
         z -= (float(W @ (z * vals)) / c) * vals
         slope = float(dual @ z)   # equals resid' A^-1 resid: strictly positive
+        edge = False
         for _ in range(60):
             armijo = val - 1e-4 * step * slope
             if armijo == val:
@@ -237,10 +244,14 @@ def _descend(g, vals, p, opts, eval_fn):
             value_evals += 1
             if t_point.value <= armijo:
                 break
+            edge = edge or t_point.value == np.inf
             backtracks += 1
             step *= 0.5
         else:
             stop = "step_underflow"
+        if edge and stop in ("noise_floor", "step_underflow"):
+            # the step was halved away on trials without a fiber point
+            stop = "fiber_edge"
         if stop != "max_iters":
             break
         vals, point = trial, t_point
@@ -570,10 +581,14 @@ def mountain_pass_path(p, u_minus, bubble, t_grid=None):
     The energies take the cross-term route: the mass and stiffness form of
     u_minus + t * bubble are quadratic in t, so one pass over the shared
     grid (two sparse matvecs) fixes them for every t, and the dilation laws
-    carry the norms over to W_t without building it.  Each t then costs
-    O(M) vector work; no grid or stiffness matrix is built.  mass_err_max
-    is the largest relative gap between the quadratic mass that sets the
-    dilation and the direct quadrature of (u_minus + t * bubble)^2.
+    carry the norms over to W_t without building it.  The Lebesgue norms
+    and the direct mass of all the weights come from one call on the
+    whole t_grid (`_build_cross`): off the bubble's support they are summed
+    once, on it the rows u_minus + t * bubble are evaluated in blocks.  No
+    grid or stiffness matrix is built, and the energies are one vectorised
+    `fiber_energy`.  mass_err_max is the largest relative gap between the
+    quadratic mass that sets the dilation and the direct quadrature of
+    (u_minus + t * bubble)^2.  Weights must be finite and nonnegative.
     """
     if not p.mass_subcritical:
         raise HypothesisError("the mountain-pass path lives below q = 2 + 4/N")
@@ -585,18 +600,14 @@ def mountain_pass_path(p, u_minus, bubble, t_grid=None):
         t_grid = np.concatenate([[0.0], np.geomspace(1e-3, 1e3, 400)])
     else:
         t_grid = np.asarray(t_grid, dtype=float)
-        if not np.all(t_grid >= 0.0):
-            raise ParameterError("superposition weights must be nonnegative")
+        if not np.all(np.isfinite(t_grid) & (t_grid >= 0.0)):
+            raise ParameterError("superposition weights must be finite and nonnegative")
         if t_grid[0] != 0.0:
             t_grid = np.concatenate([[0.0], t_grid])
 
     cross = _build_cross(p, u_minus, bubble, c=p.c)
-    energies = np.empty_like(t_grid)
-    mass_err = 0.0
-    for k, t in enumerate(t_grid):
-        nb = _superposition_bundle(p, cross, float(t))
-        energies[k] = fiber_energy(nb, p, 1.0)
-        mass_err = max(mass_err, abs(nb.mass - p.c) / p.c)
+    nb = _superposition_bundle(p, cross, t_grid)
+    energies = fiber_energy(nb, p, 1.0)
 
     base = float(energies[0])
     below = np.flatnonzero(energies < 2.0 * base)
@@ -615,6 +626,6 @@ def mountain_pass_path(p, u_minus, bubble, t_grid=None):
         level_estimate=float(energies[k_max]),
         t_at_max=float(t_grid[k_max]),
         t_hat=float(t_grid[below[0]]),
-        mass_err_max=float(mass_err),
+        mass_err_max=float(np.max(np.abs(nb.mass - p.c))) / p.c,
     )
 

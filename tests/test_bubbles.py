@@ -291,6 +291,48 @@ def test_superpose_bundle_matches_direct_norms():
         assert nb.lcrit == pytest.approx(norms(W, 6.0), rel=1e-10)
 
 
+def _bubbles_on(g):
+    """Three second profiles for the cross-term route: the truncated bubble,
+    a Gaussian with full support (nothing off the support), and a bump on
+    three nodes."""
+    few = np.zeros(g.M + 1)
+    few[[0, 1, 2]] = (3.0, 2.0, 1.0)
+    return {
+        "bubble": B.truncated_instanton(3, 16, g),
+        "full": RadialFunction(g, np.exp(-(g.nodes / 10.0) ** 2)),
+        "few": RadialFunction(g, few),
+    }
+
+
+@pytest.mark.parametrize("kind", ["bubble", "full", "few"])
+def test_superposition_bundle_array_matches_scalar_calls(kind):
+    g, u_c, _ = _scan_inputs()
+    U = _bubbles_on(g)[kind]
+    support = np.count_nonzero(U.values)
+    p = problem(3, 2.0, 1.0, 2.5)
+    cross = B._build_cross(p, u_c, U, c=2.0)
+    ts = np.concatenate([[0.0], np.geomspace(1e-3, 1e3, 400)])
+    if kind == "bubble":
+        # the array spans several blocks and ends in a partial one
+        rows = B._BLOCK // support
+        assert ts.size > 3 * rows and ts.size % rows != 0
+    else:
+        assert support == {"full": g.M + 1, "few": 3}[kind]
+    nb = B._superposition_bundle(p, cross, ts)
+    W = g.omega_N * g.weights
+    for k, t in enumerate(ts):
+        one = B._superposition_bundle(p, cross, float(t))
+        for name in ("mass", "grad_sq", "lq", "lcrit"):
+            assert isinstance(getattr(one, name), float)
+            assert getattr(nb, name)[k] == pytest.approx(getattr(one, name), rel=1e-15)
+        # the direct quadrature over every node of u_c + t U
+        v2 = (u_c.values + t * U.values) ** 2
+        m, lq, lc = cross["lebesgue"](float(t))
+        assert m == pytest.approx(float(W @ v2), rel=1e-14)
+        assert lq == pytest.approx(float(W @ v2 ** 1.25), rel=1e-14)
+        assert lc == pytest.approx(float(W @ v2 ** 3), rel=1e-14)
+
+
 def test_superpose_rejects_bad_input():
     g, u_c, U = _scan_inputs()
     with pytest.raises(ParameterError):

@@ -3,6 +3,7 @@ ground state and mountain-pass paths."""
 
 import functools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -231,6 +232,17 @@ def test_valley_descent_does_not_crawl_along_the_dilation(N, mu, q, c_over_c0):
 def test_valley_descent_takes_few_values():
     _, rpt = _valley()
     assert rpt.value_evals < 40
+
+
+@pytest.mark.parametrize("N, q", [(4, 2.5), (3, 3.0)])
+def test_valley_descent_names_the_edge_of_p_plus(N, q):
+    # from the Gaussian start the descent runs into the edge of P+, where the
+    # fiber's minimum and maximum merge: its last trials have no fiber
+    # minimum (valued +inf), and the stop says so instead of "noise_floor"
+    p = problem(N, 0.5 * thresholds(N, q, 1.0, 1.0).c0, 1.0, q)
+    rpt = local_minimize(p, gaussian_valley_init(p))
+    assert rpt.descent_stop == "fiber_edge"
+    assert not rpt.converged
 
 
 def test_small_mu_levels_follow_the_soliton_dilation_law():
@@ -691,7 +703,24 @@ def test_path_rejects_off_sphere_minimizer():
         mountain_pass_path(p, bad, U)
 
 
-@pytest.mark.parametrize("t_grid", [[-1.0, 1.0], [np.nan, 1.0]])
+def test_path_peak_memory_stays_below_one_megabyte():
+    # the weights are evaluated in blocks of rows: all 401 rows of u + t U
+    # at once would take 9 MB on this grid
+    p = problem(3, C_HALF, 1.0, 2.5)
+    g = bubble_grid(3, 128, 60.0, barrier_radii=(1.0, 2.0))
+    u = normalize_mass(RadialFunction(g, np.exp(-((g.nodes / 3.0) ** 2))), p.c)
+    U = truncated_instanton(3, 128, g)
+    mountain_pass_path(p, u, U)   # builds the grid's cached stiffness matrix
+    tracemalloc.start()
+    try:
+        mountain_pass_path(p, u, U)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1e6
+
+
+@pytest.mark.parametrize("t_grid", [[-1.0, 1.0], [np.nan, 1.0], [np.inf, 1.0]])
 def test_path_rejects_bad_weights(t_grid):
     p, rpt, U = _pass_pieces()
     with pytest.raises(ParameterError, match="nonnegative"):
