@@ -47,6 +47,7 @@ from .functionals import (
 from .grid import (
     RadialFunction,
     RadialGrid,
+    _dot,
     grid_from_nodes,
     mass,
     pchip_resample,
@@ -95,7 +96,7 @@ def bubble_grid(N, n, R_max, barrier_radii=(), core_intervals=1200, per_decade=8
     decades = np.log10(R_max / r_core)
     m_geo = max(8, int(np.ceil(decades * per_decade)))
     nodes.append(np.geomspace(r_core, R_max, m_geo + 1)[1:])
-    grid_nodes = np.unique(np.concatenate(nodes))
+    grid_nodes = np.concatenate(nodes)
     # insert kink radii as exact nodes, evicting any non-kink node that
     # would leave a degenerate cell next to them
     for rb in barrier_radii:
@@ -169,12 +170,17 @@ def _normalized_grid(N, n, R_n, core_intervals=1200, per_decade=2000,
     """
     rho = float(n) ** (2.0 / 3.0)
     r_core = 2.0 / n
+    if not r_core < rho:
+        raise ParameterError(
+            f"the core 2/n = {r_core:g} reaches the kink n^(2/3) = {rho:g} "
+            f"(n = {n}); the mass-c family grid needs n >= 2"
+        )
     parts = [np.linspace(0.0, r_core, core_intervals + 1)]
     decades = np.log10(rho / r_core)
     m_geo = max(8, int(np.ceil(decades * per_decade)))
     parts.append(np.geomspace(r_core, rho, m_geo + 1)[1:])
     parts.append(np.linspace(rho, R_n, annulus_intervals + 1)[1:])
-    nodes = np.unique(np.concatenate(parts))
+    nodes = np.concatenate(parts)
     return grid_from_nodes(N, nodes, barrier_radii=(rho,))
 
 
@@ -588,7 +594,8 @@ def _build_cross(p, u_c, U_n, c):
     on = U != 0.0
     u_s, U_s, W_s = u[on], U[on], W[on]
     w2 = u[~on] ** 2
-    fixed = np.array([W[~on] @ w2, W[~on] @ (w2 ** e_q * w2), W[~on] @ (w2 ** e_c * w2)])
+    W_o = W[~on]
+    fixed = np.array([_dot(W_o, w2), _dot(W_o, w2 ** e_q * w2), _dot(W_o, w2 ** e_c * w2)])
     rows = max(1, _BLOCK // max(1, u_s.size))
 
     def lebesgue(t):
@@ -615,12 +622,12 @@ def _build_cross(p, u_c, U_n, c):
 
     return {
         "c": float(c),
-        "m_a": float(W @ (u * u)),
-        "m_x": float(W @ (u * U)),
-        "m_b": float(W @ (U * U)),
-        "g_a": float(u @ Ku),
-        "g_x": float(U @ Ku),
-        "g_b": float(U @ (g.stiffness @ U)),
+        "m_a": _dot(W, u * u),
+        "m_x": _dot(W, u * U),
+        "m_b": _dot(W, U * U),
+        "g_a": _dot(u, Ku),
+        "g_x": _dot(U, Ku),
+        "g_b": _dot(U, g.stiffness @ U),
         "lebesgue": lebesgue,
     }
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BracketError, ConvergenceError, ParameterError
-from .grid import make_grid, sphere_area
+from .grid import _dot, make_grid, sphere_area
 
 __all__ = [
     "ExponentPack",
@@ -300,10 +300,10 @@ def weinstein_quotient_min(N, q, M=500, R=25.0):
 
     def fun_and_grad(x):
         Kx = K @ x
-        A = float(x @ Kx)
-        B2 = float(w @ (x * x))
+        A = _dot(x, Kx)
+        B2 = _dot(w, x * x)
         absx = np.abs(x)
-        Bq = float(w @ absx ** q)
+        Bq = _dot(w, absx ** q)
         J = (gam * q / 2.0) * math.log(A) + ((1.0 - gam) * q / 2.0) \
             * math.log(B2) - math.log(Bq)
         gA = 2.0 * Kx

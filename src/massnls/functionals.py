@@ -31,7 +31,15 @@ import numpy as np
 
 from .constants import ExponentPack, exponents, thresholds
 from .errors import HypothesisError, ParameterError
-from .grid import RadialFunction, _pchip_values, grad_norm_sq, mass, norms, tail_fraction
+from .grid import (
+    RadialFunction,
+    _dot,
+    _pchip_values,
+    grad_norm_sq,
+    mass,
+    norms,
+    tail_fraction,
+)
 
 __all__ = [
     "ProblemParams",
@@ -168,10 +176,10 @@ class _GridPass:
         self.fc = v2 ** ((p.two_star - 2.0) / 2.0)
         self.Kv = grid.stiffness @ v
         self.bundle = NormBundle(
-            float(W @ v2),
-            float(v @ self.Kv),
-            float(W @ (self.fq * v2)),
-            float(W @ (self.fc * v2)),
+            _dot(W, v2),
+            _dot(v, self.Kv),
+            _dot(W, self.fq * v2),
+            _dot(W, self.fc * v2),
         )
 
     def gradient(self, p, t=1.0):
@@ -406,7 +414,7 @@ def pohozaev_general(u, nl, N=None):
     N = g.N if N is None else N
     vals = u.values
     integrand = nl.f(vals) * vals - 2.0 * nl.primitive(vals)
-    pot = g.omega_N * float(g.weights @ integrand)
+    pot = g.omega_N * _dot(g.weights, integrand)
     return grad_norm_sq(u) - 0.5 * N * pot
 
 
@@ -449,9 +457,9 @@ def _tangential_residual(dual, v, W, m):
     dual - lam W v of a dual gradient at v on the sphere of mass m, and the
     L^2_h norm sqrt(resid' W^-1 resid) of its weighted-L^2 representative.
     """
-    lam = float(dual @ v) / m
+    lam = _dot(dual, v) / m
     resid = dual - lam * (W * v)
-    return lam, resid, float(np.sqrt(resid @ (resid / W)))
+    return lam, resid, float(np.sqrt(_dot(resid, resid / W)))
 
 
 def normalize_mass(u, c):

@@ -49,7 +49,7 @@ from .functionals import (
     fiber_scale,
     normalize_mass,
 )
-from .grid import RadialFunction, make_grid, mass
+from .grid import RadialFunction, _dot, make_grid, mass
 from .manifold import fiber_critical_points, manifold_projection
 from .bubbles import _build_cross, _superposition_bundle, bubble_grid, truncated_instanton
 
@@ -122,7 +122,7 @@ class SolutionReport:
 # ----------------------------------------------------------------------------
 
 def _retract(W, vals, c):
-    m = float(W @ (vals * vals))
+    m = _dot(W, vals * vals)
     if m <= 0.0:
         raise ParameterError("iterate collapsed to the zero profile")
     return vals * np.sqrt(c / m)
@@ -229,8 +229,8 @@ def _descend(g, vals, p, opts, eval_fn):
                 stop = "stalled"  # flatlined: hand over to the Newton endgame
                 break
         z = riesz(resid)
-        z -= (float(W @ (z * vals)) / c) * vals
-        slope = float(dual @ z)   # equals resid' A^-1 resid: strictly positive
+        z -= (_dot(W, z * vals) / c) * vals
+        slope = _dot(dual, z)   # equals resid' A^-1 resid: strictly positive
         edge = False
         for _ in range(60):
             armijo = val - 1e-4 * step * slope
@@ -292,10 +292,10 @@ def _newton_step(g, gp, p, lam, resid):
     if not np.all(np.isfinite(x)):
         return None, None, "non_finite"
     du0, du1 = x[:, 0], x[:, 1]
-    denom = float(wu @ du1)
+    denom = _dot(wu, du1)
     if denom == 0.0:
         return None, None, "singular_border"
-    dlam = -float(wu @ du0) / denom
+    dlam = -_dot(wu, du0) / denom
     return du0 + dlam * du1, dlam, None
 
 

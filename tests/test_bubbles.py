@@ -1,5 +1,11 @@
 """Tests for the instanton families, their norm models, and threshold scans."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -19,6 +25,53 @@ from massnls.grid import RadialFunction, make_grid, mass, norms, pchip_resample
 
 def _stiff(u):
     return float(u.values @ (u.grid.stiffness @ u.values))
+
+
+def _child(code, **env):
+    """Run code in a fresh interpreter that imports massnls from this tree,
+    with env added to its environment only; return its stdout as JSON."""
+    path = [str(Path(B.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, **env, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=300, check=True)
+    return json.loads(out.stdout)
+
+
+# ----------------------------------------------------------------------------
+# grids
+# ----------------------------------------------------------------------------
+
+@pytest.mark.parametrize("N", [3, 4])
+@pytest.mark.parametrize("n", [8, 256, 2 ** 16])
+def test_normalized_grid_is_the_sorted_union_of_its_pieces(N, n):
+    rho, r_core = n ** (2.0 / 3.0), 2.0 / n
+    R_n = 2.0 * rho
+    m_geo = max(8, int(np.ceil(np.log10(rho / r_core) * 2000)))
+    union = np.unique(np.concatenate([
+        np.linspace(0.0, r_core, 1201),
+        np.geomspace(r_core, rho, m_geo + 1),
+        np.linspace(rho, R_n, 2401),
+    ]))
+    assert np.array_equal(B._normalized_grid(N, n, R_n).nodes, union)
+
+
+@pytest.mark.parametrize("n", [8, 256, 2 ** 16])
+def test_bubble_grid_is_the_sorted_union_of_its_pieces(n):
+    r_core = 2.0 / n
+    m_geo = max(8, int(np.ceil(np.log10(60.0 / r_core) * 800)))
+    nodes = np.unique(np.concatenate([
+        np.linspace(0.0, r_core, 1201), np.geomspace(r_core, 60.0, m_geo + 1),
+    ]))
+    for rb in (1.0, 2.0):
+        evict = (np.abs(nodes - rb) <= 60e-10) & (nodes > 0.0) & (nodes < 60.0)
+        nodes = np.sort(np.append(nodes[~evict], rb))
+    assert np.array_equal(B.bubble_grid(3, n, 60, (1, 2)).nodes, nodes)
+
+
+def test_normalized_grid_needs_the_core_inside_the_kink():
+    # n = 1: the core 2/n = 2 reaches past the kink n^(2/3) = 1
+    with pytest.raises(ParameterError, match="n >= 2"):
+        B.mass_normalized_instanton(5, 100.0, 1)
 
 
 # ----------------------------------------------------------------------------
@@ -470,6 +523,42 @@ def test_critical_scan_passes_far_beyond_existence_bound():
     (r,) = res.records
     assert r.passed
     assert 0.0 < res.threshold - r.sup_t < 1e-3
+
+
+def test_critical_scan_does_not_depend_on_the_blas_thread_count():
+    # grids of 8017-19054 nodes, past the 10000 elements above which
+    # OpenBLAS runs a dot product on its thread pool
+    code = """if True:
+        import json
+        from massnls.bubbles import threshold_scan_critical
+        from massnls.functionals import problem
+        res = threshold_scan_critical(problem(3, 1.0, 1.0, 4.0), [2**14, 2**15, 2**16])
+        fields = ("mass", "grad_sq", "lq", "lcrit", "sup_t", "t_at_sup")
+        print(json.dumps([[float(getattr(r, f)).hex() for f in fields]
+                          for r in res.records]))
+    """
+    one, two = (_child(code, OPENBLAS_NUM_THREADS=k) for k in ("1", "2"))
+    assert one == two
+    assert "nan" not in str(one)
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs a second core to spill onto")
+def test_critical_scan_stays_on_one_core():
+    # process CPU time counts every thread, so BLAS threads would show as
+    # CPU time near twice the wall time
+    code = """if True:
+        import json, time
+        from massnls.bubbles import threshold_scan_critical
+        from massnls.functionals import problem
+        p, ns = problem(3, 1.0, 1.0, 4.0), [2**k for k in range(12, 17)]
+        threshold_scan_critical(p, ns)  # warm-up: lazy imports and caches
+        w0, c0 = time.perf_counter(), time.process_time()
+        for _ in range(10):
+            threshold_scan_critical(p, ns)
+        print(json.dumps([time.perf_counter() - w0, time.process_time() - c0]))
+    """
+    wall, cpu = _child(code)
+    assert cpu <= 1.25 * wall
 
 
 def test_critical_scan_mu_zero_never_passes():

@@ -19,7 +19,7 @@ from massnls import (
     write_csv,
 )
 from massnls.bubbles import bubble_grid, truncated_instanton
-from massnls.grid import pchip_resample, sphere_area, tail_fraction
+from massnls.grid import _DOT_BLOCK, _dot, _moments, pchip_resample, sphere_area, tail_fraction
 
 GAUSS_3D = math.pi ** 1.5  # int_{R^3} e^{-|x|^2} dx
 
@@ -199,6 +199,19 @@ def test_weights_match_exact_rational_rule():
         _assert_weights_match_exact(N, nodes)
 
 
+@pytest.mark.parametrize("N", [3, 4, 5])
+def test_moments_match_exact_binomial_sums(N):
+    # a cell at the origin and a far-field cell whose width is 1/60000 of its
+    # offset: m_k = int_0^h s^k (a + s)^(N-1) ds in exact rational arithmetic
+    a, h = np.array([0.0, 60.0]), np.array([1e-3, 1e-3])
+    for k, got in enumerate(_moments(N, a, h)):
+        for ai, hi, gi in zip(a, h, got):
+            A, H = Fraction(float(ai)), Fraction(float(hi))
+            want = sum(math.comb(N - 1, j) * A ** (N - 1 - j) * H ** (j + k + 1) / (j + k + 1)
+                       for j in range(N))
+            assert abs(Fraction(float(gi)) - want) <= 4 * np.finfo(float).eps * want
+
+
 def test_barrier_respects_kink():
     # v(r) = max(0, 1 - r) on [0, 2]: int r^2 v^2 over [0,1] = 1/30
     nodes = np.linspace(0.0, 2.0, 129)
@@ -308,3 +321,16 @@ def test_csv_roundtrip_keeps_barriers(tmp_path, case):
     assert v.grid.barriers == u.grid.barriers != ()
     assert np.array_equal(v.grid.weights, u.grid.weights)
     assert np.array_equal(v.values, u.values)
+
+
+@pytest.mark.parametrize("n", [1, 100, _DOT_BLOCK - 1, _DOT_BLOCK, _DOT_BLOCK + 1, 19054])
+def test_dot_is_one_ddot_up_to_the_block_and_exact_beyond(n):
+    rng = np.random.default_rng(n)
+    a, b = rng.random(n), rng.random(n)
+    got = _dot(a, b)
+    assert type(got) is float
+    if n <= _DOT_BLOCK:
+        assert got == float(a @ b)
+    else:
+        want = math.fsum(a * b)
+        assert abs(got - want) <= 1e-14 * want
