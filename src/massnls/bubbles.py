@@ -48,6 +48,7 @@ from .grid import (
     RadialFunction,
     RadialGrid,
     _dot,
+    _row_dots,
     grid_from_nodes,
     mass,
     pchip_resample,
@@ -576,10 +577,10 @@ def _build_cross(p, u_c, U_n, c):
     support of U_n the sum is u_c at every t, so those nodes are summed once
     here; on the support "lebesgue" forms one row u_c + t U_n per weight, in
     blocks of at most `_BLOCK` elements, and reduces each row with three
-    dot products against the nodal volume weights.  A row's sums do not
-    depend on the other rows of its block (`np.vecdot` takes one dot per
-    row; a matrix-vector product would not), so the norms at a weight are
-    the same to the last bit whether it comes alone or in an array.  It
+    dot products against the nodal volume weights (`grid._row_dots`, on one
+    core).  A row's sums do not depend on the other rows of its block (a
+    matrix-vector product would not), so the norms at a weight are the
+    same to the last bit whether it comes alone or in an array.  It
     takes a scalar t (a block of one row, three floats back) or an array of
     weights (three arrays of its shape).  c is the target mass of W(t).
     """
@@ -610,11 +611,11 @@ def _build_cross(p, u_c, U_n, c):
             np.multiply(tk, U_s, out=v2)
             v2 += u_s
             v2 *= v2
-            sums[0, k:k + rows] = np.vecdot(v2, W_s)
+            sums[0, k:k + rows] = _row_dots(v2, W_s)
             for i, e in ((1, e_q), (2, e_c)):
                 np.power(v2, e, out=f)
                 f *= v2
-                sums[i, k:k + rows] = np.vecdot(f, W_s)
+                sums[i, k:k + rows] = _row_dots(f, W_s)
         sums += fixed[:, None]
         if t.ndim == 0:
             return tuple(float(s[0]) for s in sums)

@@ -542,6 +542,30 @@ def test_critical_scan_does_not_depend_on_the_blas_thread_count():
     assert "nan" not in str(one)
 
 
+def test_path_energies_do_not_depend_on_the_blas_thread_count():
+    # the bubble's support here is 15000 nodes, so each row of the cross
+    # route's Lebesgue sums is longer than the 10000 elements above which
+    # OpenBLAS runs a dot product on its thread pool
+    code = """if True:
+        import json
+        import numpy as np
+        from massnls.bubbles import truncated_instanton
+        from massnls.functionals import normalize_mass, problem
+        from massnls.grid import RadialFunction, make_grid
+        from massnls.solvers import mountain_pass_path
+        g = make_grid(3, 4.0, 30000)
+        p = problem(3, 2.0, 1.0, 2.5)
+        u = normalize_mass(RadialFunction(g, np.exp(-(g.nodes / 1.5) ** 2)), p.c)
+        U = truncated_instanton(3, 64, g)
+        assert np.count_nonzero(U.values) == 15000
+        mp = mountain_pass_path(p, u, U)
+        print(json.dumps([float(e).hex() for e in mp.energies]))
+    """
+    one, two = (_child(code, OPENBLAS_NUM_THREADS=k) for k in ("1", "2"))
+    assert one == two
+    assert len(one) == 401 and "nan" not in str(one)
+
+
 @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs a second core to spill onto")
 def test_critical_scan_stays_on_one_core():
     # process CPU time counts every thread, so BLAS threads would show as

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import minimize_scalar
 
 from massnls import ParameterError, RadialFunction, grad_norm_sq, make_grid, norms
 from massnls import constants
@@ -156,6 +157,43 @@ def test_gn_final_bracket_straddles_the_height(N, q):
     assert _shoot(N, q, lo)[0] != "cross"
 
 
+# heights from the bisection on the turn/cross verdict that the regula falsi
+# replaced (same integrator, same 1e-13 stop)
+BISECTION_HEIGHTS = {
+    (3, 2.5): 4.276541696876734,
+    (4, 3.0): 8.671934300164367,
+    (3, 4.0): 4.337387679983635,
+}
+
+
+@pytest.mark.parametrize("N,q", sorted(BISECTION_HEIGHTS))
+def test_gn_regula_falsi_keeps_the_bisection_height_in_few_shots(N, q):
+    gs = gn_ground_state(N, q)
+    assert gs.height == pytest.approx(BISECTION_HEIGHTS[N, q], rel=1e-12)
+    # bisection took 49-50 shots here
+    assert gs.shots <= 20
+
+
+@pytest.mark.parametrize("N,q", [(3, 2.5), (4, 3.0), (5, 2.3)])
+def test_gn_miss_is_signed_by_the_verdict_and_nearly_linear(N, q):
+    # M(s) = -Q'^2 r^(N-1) at a crossing, +Q^2 r^(N-1) at a turning point:
+    # the r^(N-1) cancels the prefactor of the growing mode, so M/(s - s*)
+    # is nearly constant over ten decades of |s/s* - 1|
+    s_star = gn_ground_state(N, q).height
+    slope = {}
+    for delta in (1e-12, 1e-10, 1e-8, 1e-6, 1e-4):
+        for sign in (1, -1):
+            s = s_star * (1.0 + sign * delta)
+            verdict, miss, _ = _shoot(N, q, s)
+            assert verdict == ("cross" if sign > 0 else "turn")
+            assert (miss < 0.0) == (verdict == "cross") and miss != 0.0
+            slope[sign * delta] = miss / (s - s_star)
+    ref = slope[1e-6]
+    assert ref < 0.0
+    for d, k in slope.items():
+        assert k == pytest.approx(ref, rel=0.25), d
+
+
 def test_gn_two_routes_agree():
     # the remaining parameter pairs are exercised by the acceptance suite
     w = weinstein_quotient_min(3, 2.5)
@@ -246,6 +284,18 @@ def test_c0_exact_penalty_split(N, q, mu):
     assert t_crit == pytest.approx(rep.alpha0 / s, rel=1e-10)
     # consistency of the two exposed conventions
     assert rep.rho0 == pytest.approx(rep0.rho0_at_c0, rel=1e-12)
+
+
+@pytest.mark.parametrize("N,q", [(3, 2.5), (4, 2.5), (5, 2.3), (3, 3.0)])
+def test_c0_is_2_to_the_half_N_times_the_barrier_threshold(N, q):
+    # the largest mass with a positive barrier, found by maximizing
+    # _barrier over log rho numerically (no closed form for rho0 or c0)
+    c0 = thresholds(N, q, 1.0, 1.0).c0
+    rep = thresholds(N, q, 1.0, 2.0 ** (-N / 2) * c0)
+    # -_barrier(e^x) is a sum of exponentials in x, so strictly convex
+    res = minimize_scalar(lambda x: -_barrier(math.exp(x), rep), bounds=(-40.0, 40.0),
+                          method="bounded", options={"xatol": 1e-10})
+    assert abs(res.fun) <= 1e-9
 
 
 def test_rho0_monotone_in_mass():

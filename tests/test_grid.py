@@ -19,7 +19,15 @@ from massnls import (
     write_csv,
 )
 from massnls.bubbles import bubble_grid, truncated_instanton
-from massnls.grid import _DOT_BLOCK, _dot, _moments, pchip_resample, sphere_area, tail_fraction
+from massnls.grid import (
+    _DOT_BLOCK,
+    _dot,
+    _moments,
+    _row_dots,
+    pchip_resample,
+    sphere_area,
+    tail_fraction,
+)
 
 GAUSS_3D = math.pi ** 1.5  # int_{R^3} e^{-|x|^2} dx
 
@@ -334,3 +342,15 @@ def test_dot_is_one_ddot_up_to_the_block_and_exact_beyond(n):
     else:
         want = math.fsum(a * b)
         assert abs(got - want) <= 1e-14 * want
+
+
+@pytest.mark.parametrize("n", [1, 100, _DOT_BLOCK, _DOT_BLOCK + 1, 19054])
+def test_row_dots_are_the_dots_of_each_row(n):
+    # one ddot per row up to the block, then the blocks of `_dot` in order
+    rng = np.random.default_rng(n)
+    a, w = rng.random((3, n)), rng.random(n)
+    got = _row_dots(a, w)
+    assert got.shape == (3,)
+    assert [float(x) for x in got] == [_dot(row, w) for row in a]
+    if n <= _DOT_BLOCK:
+        assert np.array_equal(got, np.vecdot(a, w))
