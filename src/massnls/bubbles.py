@@ -49,6 +49,7 @@ from .grid import (
     RadialGrid,
     _dot,
     _row_dots,
+    _stiff_apply,
     grid_from_nodes,
     mass,
     pchip_resample,
@@ -535,7 +536,7 @@ def superpose(u_c, U_n, t, c=None):
     Quadrature weights and the Dirichlet form are homogeneous in the node
     positions, so the discrete mass of W is exactly c and no interpolation
     error enters.  Every norm of W then costs a new grid (and, for the
-    kinetic term, a new stiffness matrix), so the subcritical scan and the
+    kinetic term, a new stiffness form), so the subcritical scan and the
     mountain-pass path use the cross-term route (`_build_cross`,
     `_superposition_bundle`) instead, which takes all their weights in one
     blocked pass over the bubble's support; this construction is the
@@ -571,7 +572,7 @@ def _build_cross(p, u_c, U_n, c):
     """The pieces of u_c + t U_n that the superposition norms need at every t.
 
     Mass and stiffness form are quadratic in t, so three coefficients each
-    (two sparse matvecs, six dot products on the shared grid) fix them for
+    (two stiffness stencils, six dot products on the shared grid) fix them for
     every t.  The Lebesgue norms are not polynomial in t; the "lebesgue"
     callable takes them, with the direct mass, by quadrature.  Off the
     support of U_n the sum is u_c at every t, so those nodes are summed once
@@ -589,7 +590,7 @@ def _build_cross(p, u_c, U_n, c):
     g = u_c.grid
     W = g.omega_N * g.weights
     u, U = u_c.values, U_n.values
-    Ku = g.stiffness @ u
+    Ku = _stiff_apply(g.stiffness, u)
     e_q, e_c = (p.q - 2.0) / 2.0, (p.two_star - 2.0) / 2.0
 
     on = U != 0.0
@@ -628,7 +629,7 @@ def _build_cross(p, u_c, U_n, c):
         "m_b": _dot(W, U * U),
         "g_a": _dot(u, Ku),
         "g_x": _dot(U, Ku),
-        "g_b": _dot(U, g.stiffness @ U),
+        "g_b": _dot(U, _stiff_apply(g.stiffness, U)),
         "lebesgue": lebesgue,
     }
 

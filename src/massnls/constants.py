@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BracketError, ConvergenceError, ParameterError
-from .grid import _dot, make_grid, sphere_area
+from .grid import _dot, _stiff_apply, make_grid, sphere_area
 
 __all__ = [
     "ExponentPack",
@@ -330,7 +330,7 @@ def weinstein_quotient_min(N, q, M=500, R=25.0):
     w = g.omega_N * g.weights
 
     def fun_and_grad(x):
-        Kx = K @ x
+        Kx = _stiff_apply(K, x)
         A = _dot(x, Kx)
         B2 = _dot(w, x * x)
         absx = np.abs(x)

@@ -35,6 +35,7 @@ from .grid import (
     RadialFunction,
     _dot,
     _pchip_values,
+    _stiff_apply,
     grad_norm_sq,
     mass,
     norms,
@@ -157,15 +158,16 @@ def stiff_bundle(grid, vals, p):
 class _GridPass:
     """The nodal pieces that the energy of a profile and its gradient share.
 
-    One pass over the nodal values v takes v^2, K v (K the P1 stiffness)
-    and the two force powers f_q = (v^2)^((q-2)/2) = |v|^(q-2) and
-    f_c = (v^2)^((2*-2)/2).  The norm bundle (m = W v^2, a = v K v,
-    ||v||_q^q = W f_q v^2 and ||v||_{2*}^{2*} = W f_c v^2) and the
-    dilated dual gradient are built from these, so a descent point pays for
-    each piece once.  Powers of v^2 rather than of |v| put the integer
-    exponents of N = 3 and 4 (f_c = (v^2)^2 and (v^2)^1, and f_q at q = 4)
-    on NumPy's own square and identity fast paths.  W, the nodal volume
-    weights omega_N * weights, may be passed in by a caller that holds them.
+    One pass over the nodal values v takes v^2, K v (the P1 stiffness
+    stencil `grid._stiff_apply`) and the two force powers
+    f_q = (v^2)^((q-2)/2) = |v|^(q-2) and f_c = (v^2)^((2*-2)/2).  The
+    norm bundle (m = W v^2, a = v K v, ||v||_q^q = W f_q v^2 and
+    ||v||_{2*}^{2*} = W f_c v^2) and the dilated dual gradient are built
+    from these, so a descent point pays for each piece once.  Powers of
+    v^2 rather than of |v| put the integer exponents of N = 3 and 4
+    (f_c = (v^2)^2 and (v^2)^1, and f_q at q = 4) on NumPy's own square
+    and identity fast paths.  W, the nodal volume weights
+    omega_N * weights, may be passed in by a caller that holds them.
     """
 
     def __init__(self, grid, v, p, W=None):
@@ -174,7 +176,7 @@ class _GridPass:
         self.W, self.v = W, v
         self.fq = v2 ** ((p.q - 2.0) / 2.0)
         self.fc = v2 ** ((p.two_star - 2.0) / 2.0)
-        self.Kv = grid.stiffness @ v
+        self.Kv = _stiff_apply(grid.stiffness, v)
         self.bundle = NormBundle(
             _dot(W, v2),
             _dot(v, self.Kv),

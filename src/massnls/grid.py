@@ -1,4 +1,4 @@
-"""Radial grids, quadrature, norms and finite differences on B(0, R_max).
+"""Radial grids, quadrature, norms and the grid operators on B(0, R_max).
 
 Radial profiles on R^N are stored as nodal values u_i ~ u(r_i) on a strictly
 increasing node set 0 = r_0 < r_1 < ... < r_M = R_max.  Integrals of radial
@@ -29,6 +29,12 @@ alike.  The stored nodal weights absorb the r^(N-1) volume factor.
 Grids may carry "barriers": radii at which the profile is allowed to have a
 kink (piecewise definitions).  Cell pairing never straddles a barrier, so the
 quadratic model is only ever fitted to smooth pieces.
+
+Grid operators.  The P1 stiffness form (`RadialGrid.stiffness`) and the
+3-point derivative (`RadialGrid.deriv`) are stored as plain arrays of their
+three diagonals and applied as stencils (`_stiff_apply`, `_deriv_apply`).
+Each row adds its products in the order a CSR matrix-vector product over the
+same coefficients would, so the stencils reproduce that product to the bit.
 """
 
 from __future__ import annotations
@@ -184,18 +190,18 @@ def _volume_weights(N, nodes, group_bounds):
 
 
 # ----------------------------------------------------------------------------
-# finite differences
+# the grid operators as stencils
 # ----------------------------------------------------------------------------
 
-def _derivative_matrix(nodes):
-    """Sparse 3-point derivative matrix (2nd order, one-sided at endpoints)."""
-    from scipy.sparse import csr_matrix
+def _derivative_stencil(nodes):
+    """3-point derivative coefficients (2nd order, one-sided at endpoints).
 
-    n = len(nodes)
+    Row i of the (n, 3) array weighs v[i-1], v[i], v[i+1]; the one-sided
+    end rows weigh v[0..2] and v[n-3..n-1].
+    """
     h = np.diff(nodes)
     h1, h2 = h[:-1], h[1:]
-    vals = np.empty((n, 3))
-    cols = np.empty((n, 3), dtype=np.intp)
+    vals = np.empty((len(nodes), 3))
 
     a1, a2 = h[0], h[1]
     vals[0] = (
@@ -203,12 +209,10 @@ def _derivative_matrix(nodes):
         (a1 + a2) / (a1 * a2),
         -a1 / (a2 * (a1 + a2)),
     )
-    cols[0] = (0, 1, 2)
 
     vals[1:-1, 0] = -h2 / (h1 * (h1 + h2))
     vals[1:-1, 1] = (h2 - h1) / (h1 * h2)
     vals[1:-1, 2] = h1 / (h2 * (h1 + h2))
-    cols[1:-1] = np.arange(n - 2)[:, None] + np.arange(3)
 
     g1, g2 = h[-2], h[-1]
     vals[-1] = (
@@ -216,10 +220,38 @@ def _derivative_matrix(nodes):
         -(g1 + g2) / (g1 * g2),
         (2 * g2 + g1) / (g2 * (g1 + g2)),
     )
-    cols[-1] = (n - 3, n - 2, n - 1)
+    return vals
 
-    rows = np.repeat(np.arange(n), 3)
-    return csr_matrix((vals.ravel(), (rows, cols.ravel())), shape=(n, n))
+
+def _deriv_apply(D, v):
+    """D v for the `RadialGrid.deriv` coefficients D.
+
+    Each row adds its three products left to right, the order of a CSR
+    matrix-vector product over the same coefficients, so the result is that
+    product to the last bit.
+    """
+    Dv = np.empty(len(D))
+    Dv[1:-1] = D[1:-1, 0] * v[:-2]
+    Dv[1:-1] += D[1:-1, 1] * v[1:-1]
+    Dv[1:-1] += D[1:-1, 2] * v[2:]
+    Dv[0] = D[0, 0] * v[0] + D[0, 1] * v[1] + D[0, 2] * v[2]
+    Dv[-1] = D[-1, 0] * v[-3] + D[-1, 1] * v[-2] + D[-1, 2] * v[-1]
+    return Dv
+
+
+def _stiff_apply(K, v):
+    """K v for the tridiagonal `RadialGrid.stiffness` K = (main, off).
+
+    Row i is main_i v_i + off_(i-1) v_(i-1) + off_i v_(i+1), added in that
+    order.  Floating-point addition is commutative, so this is the CSR
+    product of the same tridiagonal (off_(i-1) v_(i-1) + main_i v_i first)
+    to the last bit.
+    """
+    main, off = K
+    Kv = main * v
+    Kv[1:] += off * v[:-1]
+    Kv[:-1] += off * v[1:]
+    return Kv
 
 
 # ----------------------------------------------------------------------------
@@ -272,15 +304,20 @@ class RadialGrid:
 
     @property
     def deriv(self):
-        """Lazily built sparse finite-difference derivative operator."""
+        """Lazily built read-only (n, 3) coefficients of the 3-point
+        finite-difference derivative; `_deriv_apply` applies them."""
         if self._deriv is None:
-            self._deriv = _derivative_matrix(self.nodes)
+            self._deriv = _derivative_stencil(self.nodes)
+            self._deriv.setflags(write=False)
         return self._deriv
 
     @property
     def stiffness(self):
-        """Sparse piecewise-linear Dirichlet form: u @ (stiffness @ u) is the
-        exact H^1 seminorm (times omega_N) of the P1 interpolant of u.
+        """Piecewise-linear Dirichlet form as its read-only tridiagonal
+        (main, off): u @ _stiff_apply(stiffness, u) is the exact H^1 seminorm
+        (times omega_N) of the P1 interpolant of u.  off = -kappa holds the
+        cell conductances kappa = omega_N int_cell r^(N-1) dr / dr^2, and the
+        main diagonal sums the two kappa beside each node.
 
         Unlike the centered-difference `deriv` route this form is positive
         semidefinite with kernel = constants only, so it is safe inside
@@ -288,16 +325,16 @@ class RadialGrid:
         wherever the kinetic term appears in an energy being *optimized*.
         """
         if self._stiffness is None:
-            from scipy.sparse import diags
-
             dr = np.diff(self.nodes)
-            # omega_N * int_cell r^(N-1) dr / dr^2, per cell
             cell_m0 = next(_moments(self.N, self.nodes[:-1], dr))
             kappa = self.omega_N * cell_m0 / (dr * dr)
             main = np.zeros(len(self.nodes))
             main[:-1] += kappa
             main[1:] += kappa
-            self._stiffness = diags([-kappa, main, -kappa], [-1, 0, 1], format="csr")
+            off = -kappa
+            main.setflags(write=False)
+            off.setflags(write=False)
+            self._stiffness = (main, off)
         return self._stiffness
 
     def same_layout(self, other):
@@ -404,7 +441,7 @@ def grad_norm_sq(u):
     reduces to omega_N * int r^(N-1) u'(r)^2 dr.
     """
     g = u.grid
-    du = g.deriv @ u.values
+    du = _deriv_apply(g.deriv, u.values)
     return g.omega_N * _dot(g.weights, du * du)
 
 

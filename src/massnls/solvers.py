@@ -15,7 +15,7 @@ directions are Sobolev-preconditioned projected gradients (an H^1 Riesz
 solve per step -- one tridiagonal back-substitution), with Armijo
 backtracking on top: the critical term makes any fixed step blow up once
 the profile starts to concentrate.  Each descent point is evaluated in one
-pass over the grid (`functionals._GridPass`: one sparse matvec and the
+pass over the grid (`functionals._GridPass`: one stiffness stencil and the
 force powers, shared by the value, the gradient and the history row).
 
 Each phase stops when its own test stops carrying information.  The descent
@@ -131,11 +131,13 @@ def _retract(W, vals, c):
 def _riesz_solver(W, K):
     """Solve (diag(W) + K) z = b, the H^1 Gram system of the descent.
 
-    The P1 stiffness K is tridiagonal and the Gram matrix is SPD, so it is
-    factored once as L D L^T (LAPACK dpttrf) and each right-hand side costs
-    one O(M) back-substitution (dpttrs).
+    K = (main, off) is the grid's tridiagonal P1 stiffness and the Gram
+    matrix is SPD, so it is factored once as L D L^T (LAPACK dpttrf on the
+    diagonals W + main and off) and each right-hand side costs one O(M)
+    back-substitution (dpttrs).
     """
-    d, e, info = dpttrf(W + K.diagonal(), K.diagonal(1))
+    main, off = K
+    d, e, info = dpttrf(W + main, off)
     if info != 0:
         raise NumericalError(f"H^1 Gram matrix not positive definite (dpttrf info {info})")
 
@@ -162,7 +164,7 @@ def _descend(g, vals, p, opts, eval_fn):
 
     eval_fn(vals) -> _Point.  An evaluator makes one `_GridPass` over the
     grid: the value, the stiffness form and the gradient closure all read
-    the same K v and force powers, so a point costs one sparse matvec
+    the same K v and force powers, so a point costs one stiffness stencil
     however much of it the descent uses.  Line-search trials need only the
     value; the accepted trial's point is carried into the next iteration,
     so every iterate costs one gradient, and the history row takes its
@@ -275,17 +277,17 @@ def _newton_step(g, gp, p, lam, resid):
     """One bordered Newton step on the constrained Euler-Lagrange system.
 
     Solves [[J, -W u], [(W u)', 0]] (du, dlam) = (-resid, 0) with
-    J = K - diag(W (f'(u) + lam)) by one tridiagonal LAPACK solve (dgtsv)
-    with the two right-hand sides -resid and W u.  f'(u) = mu (q-1) f_q +
-    (2*-1) f_c takes the force powers of the pass gp at u.  Returns
+    J = K - diag(W (f'(u) + lam)) by one tridiagonal LAPACK solve (dgtsv on
+    K's off diagonal and main - W (f'(u) + lam)) with the two right-hand
+    sides -resid and W u.  f'(u) = mu (q-1) f_q + (2*-1) f_c takes the
+    force powers of the pass gp at u.  Returns
     (du, dlam, None), or (None, None, reason) with reason one of
     "lu_failed" (J exactly singular), "non_finite" or "singular_border".
     """
     fprime = p.mu * (p.q - 1.0) * gp.fq + (p.two_star - 1.0) * gp.fc
-    K = g.stiffness
-    off = K.diagonal(1)
+    main, off = g.stiffness
     wu = gp.W * gp.v
-    *_, x, info = dgtsv(off, K.diagonal() - gp.W * (fprime + lam), off,
+    *_, x, info = dgtsv(off, main - gp.W * (fprime + lam), off,
                         np.column_stack([-resid, wu]))
     if info != 0:
         return None, None, "lu_failed"
@@ -580,12 +582,12 @@ def mountain_pass_path(p, u_minus, bubble, t_grid=None):
 
     The energies take the cross-term route: the mass and stiffness form of
     u_minus + t * bubble are quadratic in t, so one pass over the shared
-    grid (two sparse matvecs) fixes them for every t, and the dilation laws
-    carry the norms over to W_t without building it.  The Lebesgue norms
+    grid (two stiffness stencils) fixes them for every t, and the dilation
+    laws carry the norms over to W_t without building it.  The Lebesgue norms
     and the direct mass of all the weights come from one call on the
     whole t_grid (`_build_cross`): off the bubble's support they are summed
     once, on it the rows u_minus + t * bubble are evaluated in blocks.  No
-    grid or stiffness matrix is built, and the energies are one vectorised
+    grid or stiffness form is built, and the energies are one vectorised
     `fiber_energy`.  mass_err_max is the largest relative gap between the
     quadratic mass that sets the dilation and the direct quadrature of
     (u_minus + t * bubble)^2.  Weights must be finite and nonnegative.

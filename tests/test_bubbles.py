@@ -22,9 +22,11 @@ from massnls.errors import (
 from massnls.functionals import energy, fiber_energy, normalize_mass, problem, stiff_bundle
 from massnls.grid import RadialFunction, make_grid, mass, norms, pchip_resample
 
+from csr_oracle import stiffness_csr
+
 
 def _stiff(u):
-    return float(u.values @ (u.grid.stiffness @ u.values))
+    return float(u.values @ (stiffness_csr(u.grid) @ u.values))
 
 
 def _child(code, **env):

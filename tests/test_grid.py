@@ -18,16 +18,26 @@ from massnls import (
     read_csv,
     write_csv,
 )
-from massnls.bubbles import bubble_grid, truncated_instanton
+from massnls.bubbles import (
+    bubble_grid,
+    mass_normalized_instanton,
+    truncated_instanton,
+)
+from massnls.functionals import problem
 from massnls.grid import (
     _DOT_BLOCK,
+    _deriv_apply,
     _dot,
     _moments,
     _row_dots,
+    _stiff_apply,
     pchip_resample,
     sphere_area,
     tail_fraction,
 )
+from massnls.solvers import concentration_init
+
+from csr_oracle import deriv_csr, stiffness_csr
 
 GAUSS_3D = math.pi ** 1.5  # int_{R^3} e^{-|x|^2} dx
 
@@ -305,14 +315,42 @@ def test_stiffness_of_the_radius_is_the_ball_volume(grid):
     # u K u = omega_N R^N / N
     u = grid.nodes
     want = grid.omega_N * grid.R_max ** grid.N / grid.N
-    assert float(u @ (grid.stiffness @ u)) == pytest.approx(want, rel=1e-12)
+    assert float(u @ (stiffness_csr(grid) @ u)) == pytest.approx(want, rel=1e-12)
 
 
 def test_derivative_matrix_exact_on_quadratics():
     # the 3-point stencils, one-sided ones included, are exact on r^2
     g = grid_from_nodes(3, 4.0 * np.linspace(0.0, 1.0, 97) ** 1.7)
-    du = g.deriv @ g.nodes ** 2
+    du = deriv_csr(g) @ g.nodes ** 2
     np.testing.assert_allclose(du, 2.0 * g.nodes, rtol=1e-10, atol=1e-12)
+
+
+_OPERATOR_GRIDS = {
+    "anchor": lambda: concentration_init(problem(3, 1.0, 1.0, 4.0), seed=0).grid,
+    "bubble": lambda: bubble_grid(3, 64, 60, (1, 2)),
+    "graded_N4": lambda: make_grid(4, 12, 300, "graded"),
+    "crit3": lambda: mass_normalized_instanton(3, 1, 2 ** 16).grid,
+}
+
+
+@pytest.mark.parametrize("case", list(_OPERATOR_GRIDS))
+def test_stencils_equal_the_csr_products_bit_for_bit(case):
+    # each stencil row adds its products in the CSR product's order
+    g = _OPERATOR_GRIDS[case]()
+    rng = np.random.default_rng(0)
+    signed = rng.standard_normal(len(g.nodes))
+    signed[::7] = 0.0
+    for v in (signed, np.exp(-g.nodes), g.nodes ** 2):
+        assert np.array_equal(_stiff_apply(g.stiffness, v), stiffness_csr(g) @ v)
+        assert np.array_equal(_deriv_apply(g.deriv, v), deriv_csr(g) @ v)
+
+
+def test_grid_operators_are_read_only():
+    g = make_grid(3, 1.0, 16)
+    main, off = g.stiffness
+    for arr, idx in ((main, 0), (off, 0), (g.deriv, (0, 0))):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[idx] = 1.0
 
 
 @pytest.mark.parametrize("case", ["bubble", "kink"])

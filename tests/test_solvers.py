@@ -8,8 +8,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from massnls import solvers
-from massnls.bubbles import bubble_grid, superpose, truncated_instanton
+from massnls import functionals, solvers
+from massnls.bubbles import (
+    bubble_grid,
+    superpose,
+    threshold_scan_critical,
+    truncated_instanton,
+)
 from massnls.constants import sobolev_constant, thresholds
 from massnls.errors import (
     HypothesisError,
@@ -24,7 +29,7 @@ from massnls.functionals import (
     problem,
     stiff_bundle,
 )
-from massnls.grid import RadialFunction, make_grid, mass
+from massnls.grid import RadialFunction, _stiff_apply, make_grid, mass
 from massnls.manifold import manifold_projection
 from massnls.solvers import (
     SolveOptions,
@@ -37,6 +42,8 @@ from massnls.solvers import (
     local_minimize,
     mountain_pass_path,
 )
+
+from csr_oracle import stiffness_csr
 
 C0_3_25_1 = 41.61237633847645       # critical mass at (N, q, mu) = (3, 2.5, 1)
 C_HALF = 0.5 * C0_3_25_1
@@ -66,7 +73,7 @@ def _pass_pieces(n=64):
 
 
 def _stiff_form(u):
-    return float(u.values @ (u.grid.stiffness @ u.values))
+    return float(u.values @ (stiffness_csr(u.grid) @ u.values))
 
 
 # ----------------------------------------------------------------------------
@@ -287,7 +294,7 @@ def test_ground_state_satisfies_the_dilation_identity():
     g, v = rpt.u.grid, rpt.u.values
     W = g.omega_N * g.weights
     av = np.abs(v)
-    a = float(v @ (g.stiffness @ v))
+    a = float(v @ (stiffness_csr(g) @ v))
     d = float(W @ av ** p.q)
     b = float(W @ av ** p.two_star)
     assert abs(a - p.mu * p.gamma_q * d - b) <= 1e-6 * a
@@ -500,33 +507,23 @@ def test_report_as_dict_is_strict_json():
         assert json.loads(json.dumps(d, allow_nan=False)) == d
 
 
-class _CountingStiffness:
-    """The stiffness matrix, counting the products K @ v taken with it."""
-
-    def __init__(self, K):
-        self.K = K
-        self.matvecs = 0
-
-    def __matmul__(self, v):
-        self.matvecs += 1
-        return self.K @ v
-
-    def diagonal(self, k=0):
-        return self.K.diagonal(k)
-
-
 def test_anchor_descent_takes_one_stiffness_product_per_value(monkeypatch):
     p = problem(3, 1.0, 1.0, 4.0)
     init = concentration_init(p, seed=0)
-    K = _CountingStiffness(init.grid.stiffness)
-    monkeypatch.setattr(init.grid, "_stiffness", K)
+    products = []   # one entry per stiffness stencil applied by functionals
+
+    def counted_apply(K, v):
+        products.append(K)
+        return _stiff_apply(K, v)
+
+    monkeypatch.setattr(functionals, "_stiff_apply", counted_apply)
     endgame = {}   # products taken inside the Newton polish and the report
 
     def counted(name, fn):
         def run(*args, **kwargs):
-            before = K.matvecs
+            before = len(products)
             out = fn(*args, **kwargs)
-            endgame[name] = K.matvecs - before
+            endgame[name] = len(products) - before
             return out
         return run
 
@@ -534,10 +531,11 @@ def test_anchor_descent_takes_one_stiffness_product_per_value(monkeypatch):
     monkeypatch.setattr(solvers, "_report", counted("report", solvers._report))
     rpt = ground_state_minimax(p, init)
     assert rpt.converged
+    assert all(K is init.grid.stiffness for K in products)
     # the value, the stiffness form, the gradient and the history row of a
     # point share one product; the Newton endgame and the report take theirs
     assert endgame["newton"] >= 1 and endgame["report"] == 1
-    assert K.matvecs - sum(endgame.values()) == rpt.value_evals
+    assert len(products) - sum(endgame.values()) == rpt.value_evals
 
 
 def _direct_pieces(v, K, W, p, t):
@@ -575,7 +573,7 @@ def test_grid_pass_matches_the_direct_formulas(case):
     W = g.omega_N * g.weights
     gp = _GridPass(g, v, p)
     for t in (1.0, 0.7):
-        norms, grad = _direct_pieces(v, g.stiffness, W, p, t)
+        norms, grad = _direct_pieces(v, stiffness_csr(g), W, p, t)
         assert np.max(np.abs(gp.gradient(p, t) - grad)) <= 1e-13 * np.max(np.abs(grad))
     nb = gp.bundle
     for got, ref in zip((nb.mass, nb.grad_sq, nb.lq, nb.lcrit), norms):
@@ -596,7 +594,7 @@ def test_riesz_solve_matches_dense_solve():
     p, g, W, vals = _small_state()
     _, _, resid, _, _ = _kkt_state(g, W, vals, p)
     z = _riesz_solver(W, g.stiffness)(resid)
-    ref = np.linalg.solve(np.diag(W) + g.stiffness.toarray(), resid)
+    ref = np.linalg.solve(np.diag(W) + stiffness_csr(g).toarray(), resid)
     assert np.max(np.abs(z - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
@@ -612,12 +610,44 @@ def test_bordered_newton_step_matches_dense_kkt_solve():
     )
     n = vals.size
     A = np.zeros((n + 1, n + 1))
-    A[:n, :n] = g.stiffness.toarray() - np.diag(W * (fprime + lam))
+    A[:n, :n] = stiffness_csr(g).toarray() - np.diag(W * (fprime + lam))
     A[:n, n] = -W * vals
     A[n, :n] = W * vals
     ref = np.linalg.solve(A, np.append(-resid, 0.0))
     assert np.max(np.abs(du - ref[:n])) <= 1e-10 * np.max(np.abs(ref[:n]))
     assert dlam == pytest.approx(ref[n], rel=1e-10)
+
+
+def test_solvers_and_scans_build_no_sparse_matrix(monkeypatch):
+    import scipy.sparse
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a scipy.sparse matrix was built")
+
+    for name in ("diags", "csr_matrix", "coo_matrix"):
+        monkeypatch.setattr(scipy.sparse, name, refuse)
+    # every grid below is fresh, so its operators are built under the patch
+    p = problem(3, 1.0, 1.0, 4.0)
+    rpt = ground_state_minimax(p, concentration_init(p, seed=0))
+    assert rpt.converged
+    assert rpt.energy_report.phi == pytest.approx(4.113000891874706, rel=1e-9)
+
+    p = problem(3, C_HALF, 1.0, 2.5)
+    g = bubble_grid(3, 32, 60.0, barrier_radii=(1.0, 2.0))
+    init = normalize_mass(RadialFunction(g, np.exp(-((g.nodes / 3.0) ** 2))), p.c)
+    valley = local_minimize(p, init)
+    mp = mountain_pass_path(p, valley.u, truncated_instanton(3, 32, g))
+    assert valley.converged
+    assert mp.mass_err_max <= 1e-8
+    assert mp.level_estimate < mp.base_level + S_POW_3 / 3.0
+    assert 0.0 < mp.t_at_max < mp.t_hat
+
+    alpha = thresholds(4, 3.0, 1.0, 1.0).alpha_Nq
+    res = threshold_scan_critical(problem(4, 1.0, 0.9 * alpha, 3.0),
+                                  [8, 16, 32, 64, 128, 256])
+    assert res.first_pass == 32
+    assert res.threshold == pytest.approx(sobolev_constant(4).S_pow / 4.0, rel=1e-12)
+    assert all(r.passed == bool(r.sup_t < r.threshold) for r in res.records)
 
 
 # ----------------------------------------------------------------------------
@@ -710,7 +740,7 @@ def test_path_peak_memory_stays_below_one_megabyte():
     g = bubble_grid(3, 128, 60.0, barrier_radii=(1.0, 2.0))
     u = normalize_mass(RadialFunction(g, np.exp(-((g.nodes / 3.0) ** 2))), p.c)
     U = truncated_instanton(3, 128, g)
-    mountain_pass_path(p, u, U)   # builds the grid's cached stiffness matrix
+    mountain_pass_path(p, u, U)   # builds the grid's cached stiffness form
     tracemalloc.start()
     try:
         mountain_pass_path(p, u, U)
