@@ -1,22 +1,21 @@
 """Instanton-based test-function families and energy-threshold scans.
 
-Two explicit radial families built from the Aubin–Talenti profile with
-amplitude A_N = [N(N-2)]^((N-2)/4):
+Both families are one ramped profile built from the Aubin–Talenti bubble
+with amplitude A_N = [N(N-2)]^((N-2)/4) and concentration n: the instanton
+core A_N (n/(1+n^2 r^2))^((N-2)/2) on [0, rho), then a linear ramp from its
+value at the kink rho down to zero at the support end R, zero beyond.
 
-* the truncated family (parameter n): instanton core A_N (n/(1+n^2 r^2))^((N-2)/2)
-  on [0,1), matched linear cutoff A_N (n/(1+n^2))^((N-2)/2) (2-r) on [1,2),
-  zero beyond;
+* the truncated family (parameter n) has rho = 1 and R = 2;
 
-* the mass-normalized family (parameters n, c): same core up to r = n^(2/3),
-  then a linear ramp down to zero at a radius R_n > n^(2/3) chosen so the
-  total mass is exactly c.
+* the mass-normalized family (parameters n, c) has rho = n^(2/3) and the
+  R_n > rho at which the total mass is exactly c.
 
-All four norms of both families have closed forms obtained by splitting core
-(substitution s = n r) from annulus (polynomial moments); these model values
-are computed here independently of the grid quadrature and the two routes
-are compared in the tests.  The superposition W(t) dilates u + t*U by the
-factor tau = ||u + t U||_2 / sqrt(c), which restores mass c while leaving
-the gradient and critical norms invariant.
+All four norms of the ramped profile have closed forms obtained by
+splitting core (substitution s = n r) from ramp (polynomial moments); these
+model values are computed here independently of the grid quadrature and
+the two routes are compared in the tests.  The superposition W(t) dilates
+u + t*U by the factor tau = ||u + t U||_2 / sqrt(c), which restores mass c
+while leaving the gradient and critical norms invariant.
 """
 
 from __future__ import annotations
@@ -82,23 +81,27 @@ __all__ = [
 # grids
 # ----------------------------------------------------------------------------
 
-def bubble_grid(N, n, R_max, barrier_radii=(), core_intervals=1200, per_decade=800):
+def _core_nodes(n, r_end, per_decade):
+    """1200 uniform cells on the core [0, 2/n], then geometric spacing with
+    `per_decade` nodes per decade out to r_end, as a list of node arrays for
+    the caller's one concatenation."""
+    r_core = 2.0 / n
+    m_geo = max(8, int(np.ceil(np.log10(r_end / r_core) * per_decade)))
+    return [np.linspace(0.0, r_core, 1201), np.geomspace(r_core, r_end, m_geo + 1)[1:]]
+
+
+def bubble_grid(N, n, R_max, barrier_radii=()):
     """A grid resolving both the 1/n concentration core and the far field.
 
-    Uniform spacing 2/(n*core_intervals) on [0, 2/n], geometric spacing with
-    `per_decade` nodes per decade beyond, with the requested kink radii
-    inserted as exact nodes/barriers.
+    Uniform spacing 2/(1200 n) on [0, 2/n], geometric spacing with 800
+    nodes per decade beyond, with the requested kink radii inserted as
+    exact nodes/barriers.
     """
     if n < 1:
         raise ParameterError(f"concentration parameter must be >= 1, got {n}")
-    r_core = 2.0 / n
-    if R_max <= r_core:
+    if R_max <= 2.0 / n:
         raise ParameterError(f"R_max = {R_max} does not cover the core 2/n")
-    nodes = [np.linspace(0.0, r_core, core_intervals + 1)]
-    decades = np.log10(R_max / r_core)
-    m_geo = max(8, int(np.ceil(decades * per_decade)))
-    nodes.append(np.geomspace(r_core, R_max, m_geo + 1)[1:])
-    grid_nodes = np.concatenate(nodes)
+    grid_nodes = np.concatenate(_core_nodes(n, R_max, per_decade=800))
     # insert kink radii as exact nodes, evicting any non-kink node that
     # would leave a degenerate cell next to them
     for rb in barrier_radii:
@@ -110,65 +113,16 @@ def bubble_grid(N, n, R_max, barrier_radii=(), core_intervals=1200, per_decade=8
     return grid_from_nodes(N, grid_nodes, barrier_radii=tuple(sorted(barrier_radii)))
 
 
-def _check_core_resolution(grid, n):
-    sel = grid.nodes <= 1.0 / n
-    if np.count_nonzero(sel) < 2:
-        raise ResolutionError(
-            f"grid has no interior nodes below 1/n = {1.0 / n:g}; "
-            f"refusing unresolved bubble (n = {n})"
-        )
-    idx = np.flatnonzero(grid.nodes <= 1.0 / n)
-    spacing = np.diff(grid.nodes[: idx[-1] + 2])
-    worst = float(np.max(spacing))
-    if worst > 0.1 / n:
-        raise ResolutionError(
-            f"node spacing {worst:g} near the origin exceeds 0.1/n = {0.1 / n:g} "
-            f"(n = {n}); refine the grid"
-        )
-
-
-# ----------------------------------------------------------------------------
-# profile evaluation
-# ----------------------------------------------------------------------------
-
-def _truncated_values(N, n, r):
-    A = instanton_amplitude(N)
-    p = (N - 2) / 2.0
-    core = A * (n / (1.0 + n ** 2 * r ** 2)) ** p
-    edge = A * (n / (1.0 + n ** 2)) ** p
-    vals = np.where(r < 1.0, core, np.where(r < 2.0, edge * (2.0 - r), 0.0))
-    return vals
-
-
-def truncated_instanton(N, n, grid):
-    """The compactly supported instanton truncation on [0, 2]."""
-    if grid.R_max < 2.0 - 1e-12:
-        raise ParameterError(
-            f"grid ends at {grid.R_max}; the truncated profile extends to r = 2"
-        )
-    _check_core_resolution(grid, n)
-    return RadialFunction(grid, _truncated_values(N, n, grid.nodes))
-
-
-def _normalized_values(N, n, R_n, r):
-    A = instanton_amplitude(N)
-    p = (N - 2) / 2.0
-    rho = float(n) ** (2.0 / 3.0)
-    core = A * (n / (1.0 + n ** 2 * r ** 2)) ** p
-    edge = A * (n / (1.0 + n ** 2 * rho ** 2)) ** p
-    ramp = edge * (R_n - r) / (R_n - rho)
-    return np.where(r < rho, core, np.where(r < R_n, ramp, 0.0))
-
-
-def _normalized_grid(N, n, R_n, core_intervals=1200, per_decade=2000,
-                     annulus_intervals=2400):
+def _normalized_grid(N, n, R_n):
     """Grid tailored to the mass-c family: the ramp region gets uniform cells.
 
-    The mass integrand on the ramp is a plain quadratic, so the nodal
-    quadrature error there is ~ (N+1)(N+2)/(12 K^2) relative with K uniform
-    cells -- a few thousand puts it well below the 1e-8 mass contract.
-    Geometric cells would concentrate where nothing happens and leave the
-    heavy r^(N-1) weight near R_n under-resolved.
+    The core nodes are those of `bubble_grid` with 2000 geometric nodes per
+    decade out to the kink n^(2/3).  The mass integrand on the ramp is a
+    plain quadratic, so the nodal quadrature error there is
+    ~ (N+1)(N+2)/(12 K^2) relative with K uniform cells -- the 2400 used
+    here put it well below the 1e-8 mass contract.  Geometric cells would
+    concentrate where nothing happens and leave the heavy r^(N-1) weight
+    near R_n under-resolved.
     """
     rho = float(n) ** (2.0 / 3.0)
     r_core = 2.0 / n
@@ -177,13 +131,48 @@ def _normalized_grid(N, n, R_n, core_intervals=1200, per_decade=2000,
             f"the core 2/n = {r_core:g} reaches the kink n^(2/3) = {rho:g} "
             f"(n = {n}); the mass-c family grid needs n >= 2"
         )
-    parts = [np.linspace(0.0, r_core, core_intervals + 1)]
-    decades = np.log10(rho / r_core)
-    m_geo = max(8, int(np.ceil(decades * per_decade)))
-    parts.append(np.geomspace(r_core, rho, m_geo + 1)[1:])
-    parts.append(np.linspace(rho, R_n, annulus_intervals + 1)[1:])
-    nodes = np.concatenate(parts)
+    nodes = np.concatenate(
+        _core_nodes(n, rho, per_decade=2000) + [np.linspace(rho, R_n, 2401)[1:]]
+    )
     return grid_from_nodes(N, nodes, barrier_radii=(rho,))
+
+
+# ----------------------------------------------------------------------------
+# the ramped profile
+# ----------------------------------------------------------------------------
+
+def _ramped_values(N, n, rho, R, r):
+    """Instanton core on [0, rho), linear ramp to zero on [rho, R), zero beyond."""
+    A = instanton_amplitude(N)
+    p = (N - 2) / 2.0
+    core = A * (n / (1.0 + n ** 2 * r ** 2)) ** p
+    edge = A * (n / (1.0 + n ** 2 * rho ** 2)) ** p
+    ramp = edge * (R - r) / (R - rho)
+    return np.where(r < rho, core, np.where(r < R, ramp, 0.0))
+
+
+def _ramped_instanton(N, n, rho, R, grid):
+    """The ramped profile on a grid that reaches R and resolves the 1/n core."""
+    if grid.R_max < R - 1e-12:
+        raise ParameterError(f"grid ends at {grid.R_max} but the profile reaches r = {R}")
+    k = int(np.searchsorted(grid.nodes, 1.0 / n, side="right"))  # nodes <= 1/n
+    if k < 2:
+        raise ResolutionError(
+            f"grid has no interior nodes below 1/n = {1.0 / n:g}; "
+            f"refusing unresolved bubble (n = {n})"
+        )
+    worst = float(np.max(np.diff(grid.nodes[: k + 1])))
+    if worst > 0.1 / n:
+        raise ResolutionError(
+            f"node spacing {worst:g} near the origin exceeds 0.1/n = {0.1 / n:g} "
+            f"(n = {n}); refine the grid"
+        )
+    return RadialFunction(grid, _ramped_values(N, n, rho, R, grid.nodes))
+
+
+def truncated_instanton(N, n, grid):
+    """The compactly supported instanton truncation: kink 1, support [0, 2]."""
+    return _ramped_instanton(N, n, 1.0, 2.0, grid)
 
 
 def mass_normalized_instanton(N, c, n, grid=None):
@@ -194,16 +183,9 @@ def mass_normalized_instanton(N, c, n, grid=None):
     from solve_cutoff_radius(N, c, n).
     """
     R_n = solve_cutoff_radius(N, c, n)
-    rho = float(n) ** (2.0 / 3.0)
     if grid is None:
         grid = _normalized_grid(N, n, R_n)
-    else:
-        if grid.R_max < R_n - 1e-12:
-            raise ParameterError(
-                f"grid ends at {grid.R_max} but the ramp reaches R_n = {R_n}"
-            )
-        _check_core_resolution(grid, n)
-    u = RadialFunction(grid, _normalized_values(N, n, R_n, grid.nodes))
+    u = _ramped_instanton(N, n, float(n) ** (2.0 / 3.0), R_n, grid)
     got = mass(u)
     if abs(got - c) > 1e-8 * c:
         raise ResolutionError(
@@ -214,7 +196,7 @@ def mass_normalized_instanton(N, c, n, grid=None):
 
 
 # ----------------------------------------------------------------------------
-# closed-form norm models
+# closed-form norm model
 # ----------------------------------------------------------------------------
 
 def _xi_mass(N, x):
@@ -271,42 +253,55 @@ def _annulus_power(N, k, a, R):
     return w ** (k + 1.0) * total
 
 
-def truncated_norms_model(N, n, q):
-    """Exact (mass, grad_sq, lcrit, lq) of the truncated family.
+def _edge_sq(N, n, rho):
+    """(u(rho)/A_N)^2 = (n/(1+(n rho)^2))^(N-2), the squared kink value."""
+    return (n / (1.0 + (n * rho) ** 2)) ** (N - 2)
 
-    Core pieces reduce to one-dimensional integrals in s = n r; annulus
-    pieces are polynomial moments.  The gradient and critical norms are
-    assembled as S^(N/2) plus small corrections so no cancellation occurs.
+
+def _core_mass(N, n, x):
+    """Mass of the instanton core out to r = x/n."""
+    return sphere_area(N) * instanton_amplitude(N) ** 2 * _xi_mass(N, x) / n ** 2
+
+
+def _ramp_moment(N, n, rho, R, k):
+    """omega_N int_rho^R u^k r^(N-1) dr over the ramp of the ramped profile."""
+    return (sphere_area(N) * instanton_amplitude(N) ** k * _edge_sq(N, n, rho) ** (k / 2.0)
+            * _annulus_power(N, k, rho, R) / (R - rho) ** k)
+
+
+def _ramped_norms(N, n, rho, R):
+    """Exact (mass, grad_sq, lcrit, lq) of the ramped profile, lq(q) a callable.
+
+    Core pieces reduce to one-dimensional integrals in s = n r; ramp pieces
+    are polynomial moments.  The gradient and critical norms are assembled
+    as S^(N/2) minus the core's tail plus the ramp, so no cancellation
+    occurs.
     """
     A = instanton_amplitude(N)
     om = sphere_area(N)
-    sob = sobolev_constant(N)
+    S_pow = sobolev_constant(N).S_pow
     two_star = 2.0 * N / (N - 2.0)
-    edge2 = (n / (1.0 + n ** 2)) ** (N - 2)
+    x = n * rho
 
-    mass_v = om * A ** 2 * (_xi_mass(N, n) / n ** 2 + edge2 * _annulus_power(N, 2, 1.0, 2.0))
-    grad_v = sob.S_pow + om * A ** 2 * (
-        -((N - 2) ** 2) * _tail_grad(N, n) + edge2 * (2 ** N - 1) / N
+    mass_v = _core_mass(N, n, x) + _ramp_moment(N, n, rho, R, 2)
+    grad_v = S_pow + om * A ** 2 * (
+        -((N - 2) ** 2) * _tail_grad(N, x)
+        + _edge_sq(N, n, rho) * (R ** N - rho ** N) / (N * (R - rho) ** 2)
     )
-    crit_v = sob.S_pow + om * (
-        -(A ** two_star) * _tail_crit(N, n)
-        + A ** two_star * edge2 ** (N / (N - 2.0)) * _annulus_power(N, two_star, 1.0, 2.0)
-    )
-    lq_v = om * A ** q * (
-        n ** (-(2.0 * N - (N - 2.0) * q) / 2.0) * _core_q(N, q, n)
-        + edge2 ** (q / 2.0) * _annulus_power(N, q, 1.0, 2.0)
-    )
-    return mass_v, grad_v, crit_v, lq_v
+    crit_v = (S_pow - om * A ** two_star * _tail_crit(N, x)
+              + _ramp_moment(N, n, rho, R, two_star))
+
+    def lq_model(q):
+        return (om * A ** q * n ** (-(2.0 * N - (N - 2.0) * q) / 2.0) * _core_q(N, q, x)
+                + _ramp_moment(N, n, rho, R, q))
+
+    return mass_v, grad_v, crit_v, lq_model
 
 
-def _normalized_mass_model(N, n, R):
-    A = instanton_amplitude(N)
-    om = sphere_area(N)
-    rho = float(n) ** (2.0 / 3.0)
-    edge2 = (n / (1.0 + (n * rho) ** 2)) ** (N - 2)
-    core = om * A ** 2 * _xi_mass(N, n * rho) / n ** 2
-    ann = om * A ** 2 * edge2 * _annulus_power(N, 2, rho, R) / (R - rho) ** 2
-    return core + ann
+def truncated_norms_model(N, n, q):
+    """Exact (mass, grad_sq, lcrit, lq) of the truncated family."""
+    mass_v, grad_v, crit_v, lq_model = _ramped_norms(N, n, 1.0, 2.0)
+    return mass_v, grad_v, crit_v, lq_model(q)
 
 
 def normalized_norms_model(N, c, n):
@@ -316,37 +311,9 @@ def normalized_norms_model(N, c, n):
     ``mass``, ``grad_sq`` and ``lcrit``, and a callable ``lq(q)`` giving
     ||u||_q^q.
     """
-    A = instanton_amplitude(N)
-    om = sphere_area(N)
-    sob = sobolev_constant(N)
-    two_star = 2.0 * N / (N - 2.0)
     R = solve_cutoff_radius(N, c, n)
-    rho = float(n) ** (2.0 / 3.0)
-    x = n * rho
-    edge2 = (n / (1.0 + x ** 2)) ** (N - 2)
-
-    grad_v = sob.S_pow + om * A ** 2 * (
-        -((N - 2) ** 2) * _tail_grad(N, x)
-        + edge2 * (R ** N - rho ** N) / (N * (R - rho) ** 2)
-    )
-    crit_v = sob.S_pow + om * A ** two_star * (
-        -_tail_crit(N, x)
-        + edge2 ** (N / (N - 2.0)) * _annulus_power(N, two_star, rho, R) / (R - rho) ** two_star
-    )
-
-    def lq_model(q):
-        return om * A ** q * (
-            n ** (-(2.0 * N - (N - 2.0) * q) / 2.0) * _core_q(N, q, x)
-            + edge2 ** (q / 2.0) * _annulus_power(N, q, rho, R) / (R - rho) ** q
-        )
-
-    return {
-        "R_n": R,
-        "mass": _normalized_mass_model(N, n, R),
-        "grad_sq": grad_v,
-        "lcrit": crit_v,
-        "lq": lq_model,
-    }
+    mass_v, grad_v, crit_v, lq_model = _ramped_norms(N, n, float(n) ** (2.0 / 3.0), R)
+    return {"R_n": R, "mass": mass_v, "grad_sq": grad_v, "lcrit": crit_v, "lq": lq_model}
 
 
 # ----------------------------------------------------------------------------
@@ -363,9 +330,8 @@ def cutoff_radius_asymptote(N, c, n):
 
 def core_mass(N, n):
     """Mass carried by the instanton core alone, out to r = n^(2/3)."""
-    A = instanton_amplitude(N)
-    om = sphere_area(N)
-    return om * A ** 2 * _xi_mass(N, float(n) ** (5.0 / 3.0)) / float(n) ** 2
+    n = float(n)
+    return _core_mass(N, n, n ** (5.0 / 3.0))
 
 
 def normalized_family_min_n(N, c):
@@ -398,22 +364,22 @@ def normalized_family_min_n(N, c):
 def solve_cutoff_radius(N, c, n):
     """Radius R_n > n^(2/3) at which the ramped profile carries mass c.
 
-    Solves the closed-form mass equation by bracketed root finding.  The
-    ramp contributes strictly positive mass, so no cutoff exists when the
-    core alone already reaches c; that case raises BracketError rather
-    than returning a spurious near-degenerate root.
+    Solves core + ramp(R) = c, the closed-form mass equation, by bracketed
+    root finding.  The ramp contributes strictly positive mass, so no
+    cutoff exists when the core alone already reaches c; that case raises
+    BracketError rather than returning a spurious near-degenerate root.
     """
     if c <= 0.0:
         raise ParameterError(f"target mass must be positive, got {c}")
     rho = float(n) ** (2.0 / 3.0)
-    core = core_mass(N, n)
+    core = _core_mass(N, n, n * rho)
     if core >= c:
         raise BracketError(
             f"instanton core out to n^(2/3) already carries mass {core:.6g} "
             f">= c = {c:g} at n = {n}; no cutoff radius exists "
             f"(smallest admissible n is {normalized_family_min_n(N, c)})"
         )
-    f = lambda R: _normalized_mass_model(N, n, R) - c
+    f = lambda R: core + _ramp_moment(N, n, rho, R, 2) - c
     lo = rho * (1.0 + 1e-6)
     shrink = 0
     while f(lo) >= 0.0 and shrink < 4:
@@ -682,6 +648,24 @@ class ScanResult:
         return [r.n for r in self.records if r.passed]
 
 
+def _scan(n_list, threshold, row):
+    """Records in increasing n and the first passing n.
+
+    row(n) gives (bundle, sup_t, t_at_sup, note).  A diagnostic row has
+    sup_t and t_at_sup NaN, the reason in note, and bundle None when the
+    profile has no norms; it never passes.
+    """
+    records = []
+    for n in sorted(int(n) for n in n_list):
+        nb, sup_t, t_at_sup, note = row(n)
+        norms = (np.nan,) * 4 if nb is None else (nb.mass, nb.grad_sq, nb.lcrit, nb.lq)
+        records.append(ScanRecord(
+            n, *(float(v) for v in norms), float(sup_t), threshold,
+            bool(sup_t < threshold), float(t_at_sup), note,
+        ))
+    return ScanResult(records, threshold, next((r.n for r in records if r.passed), None))
+
+
 # coarse grid of superposition weights; the sup over t is refined from its
 # argmax in s = log t
 _T_GRID = np.geomspace(1e-3, 1e3, 25)
@@ -706,14 +690,10 @@ def threshold_scan_subcritical(p, u_c, n_list):
         raise HypothesisError("the superposition scan applies below q = 2+4/N")
     if abs(mass(u_c) - p.c) > 1e-6 * p.c:
         raise ParameterError(f"u_c mass {mass(u_c):g} is off the target sphere c = {p.c:g}")
-    sob = sobolev_constant(p.N)
-    m_c = energy(u_c, p)
-    threshold = m_c + sob.S_pow / p.N
-    n_list = sorted(int(n) for n in n_list)
+    threshold = energy(u_c, p) + sobolev_constant(p.N).S_pow / p.N
     s_grid = np.log(_T_GRID)
-    nan = float("nan")
 
-    def record(n):
+    def row(n):
         R_max = max(u_c.grid.R_max, 2.0)
         g = bubble_grid(p.N, n, R_max, barrier_radii=(1.0, 2.0))
         uc_g = pchip_resample(u_c, g)
@@ -726,10 +706,9 @@ def threshold_scan_subcritical(p, u_c, n_list):
         vals = phi(_T_GRID)
         k = int(np.argmax(vals))
         if k in (0, len(_T_GRID) - 1):
-            return ScanRecord(
-                n, nan, nan, nan, nan, nan, threshold, False, nan,
-                note=f"the energy of W(t) peaks at the end t = {_T_GRID[k]:g} of "
-                f"[{_T_GRID[0]:g}, {_T_GRID[-1]:g}]; no interior maximum",
+            return None, np.nan, np.nan, (
+                f"the energy of W(t) peaks at the end t = {_T_GRID[k]:g} of "
+                f"[{_T_GRID[0]:g}, {_T_GRID[-1]:g}]; no interior maximum"
             )
         res = minimize_scalar(
             lambda s: -phi(np.exp(s)), bounds=(s_grid[k - 1], s_grid[k + 1]),
@@ -738,15 +717,9 @@ def threshold_scan_subcritical(p, u_c, n_list):
         t_best, sup_v = float(np.exp(res.x)), -float(res.fun)
         if vals[k] > sup_v:
             t_best, sup_v = float(_T_GRID[k]), float(vals[k])
-        nb = _superposition_bundle(p, cross, t_best)
-        return ScanRecord(
-            n, float(nb.mass), float(nb.grad_sq), float(nb.lcrit), float(nb.lq),
-            sup_v, threshold, bool(sup_v < threshold), t_best,
-        )
+        return _superposition_bundle(p, cross, t_best), sup_v, t_best, ""
 
-    records = [record(n) for n in n_list]
-    first = next((r.n for r in records if r.passed), None)
-    return ScanResult(records, threshold, first)
+    return _scan(n_list, threshold, row)
 
 
 def threshold_scan_critical(p, n_list):
@@ -760,32 +733,18 @@ def threshold_scan_critical(p, n_list):
     if p.mass_subcritical:
         raise HypothesisError("the dilation scan applies at and above q = 2+4/N")
     _check_mu_below_alpha(p)
-    sob = sobolev_constant(p.N)
-    threshold = sob.S_pow / p.N
-    n_list = sorted(int(n) for n in n_list)
-    nan = float("nan")
 
-    def record(n):
+    def row(n):
         try:
             u = mass_normalized_instanton(p.N, p.c, n)
         except BracketError as exc:
-            # the family does not exist at this n (core mass >= c);
-            # report a diagnostic non-passing row instead of aborting the scan
-            return ScanRecord(n, nan, nan, nan, nan, nan, threshold, False, nan,
-                              note=str(exc))
+            # the family does not exist at this n (core mass >= c)
+            return None, np.nan, np.nan, str(exc)
         nb = stiff_bundle(u.grid, u.values, p)
         try:
             pt = manifold_projection(nb, p)
         except NoCriticalPointError as exc:
-            return ScanRecord(
-                n, float(nb.mass), float(nb.grad_sq), float(nb.lcrit), float(nb.lq),
-                nan, threshold, False, nan, note=str(exc),
-            )
-        return ScanRecord(
-            n, float(nb.mass), float(nb.grad_sq), float(nb.lcrit), float(nb.lq),
-            float(pt.value), threshold, bool(pt.value < threshold), float(pt.t),
-        )
+            return nb, np.nan, np.nan, str(exc)
+        return nb, pt.value, pt.t, ""
 
-    records = [record(n) for n in n_list]
-    first = next((r.n for r in records if r.passed), None)
-    return ScanResult(records, threshold, first)
+    return _scan(n_list, sobolev_constant(p.N).S_pow / p.N, row)

@@ -13,9 +13,8 @@ Three constants control the existence theory for
   minimization zone when q is mass-subcritical) and alpha(N, q) (the
   mu-smallness threshold in the mass-critical case q = 2 + 4/N).
 
-S is computed by adaptive quadrature of the analytic radial integrands of
-the bubble on [0, inf); the closed Gamma-function form is kept as a separate
-oracle (`sobolev_constant_closed_form`) and never used in the main path.
+S is Talenti's closed form S = N(N-2) pi (Gamma(N/2)/Gamma(N))^(2/N); the
+tests check it against adaptive quadrature of the bubble's radial integrands.
 C_{N,q} is computed by shooting for the ground state Q: each shot
 integrates the radial ODE with the DOP853 integrator (rtol 1e-10, atol
 1e-13) and returns a 'turn' or 'cross' verdict with a signed miss that is
@@ -42,7 +41,6 @@ __all__ = [
     "instanton_amplitude",
     "SobolevConstant",
     "sobolev_constant",
-    "sobolev_constant_closed_form",
     "GNGroundState",
     "gn_ground_state",
     "gn_constant",
@@ -99,44 +97,16 @@ class SobolevConstant:
     crit_norm: float    # ||U||_{2*}^{2*} (= S^(N/2))
 
 
-_SOBOLEV_CACHE: dict = {}
-_GN_CACHE: dict = {}
-
-
 def sobolev_constant(N):
-    """S and the bubble norms, by quadrature of the radial integrands."""
-    if N in _SOBOLEV_CACHE:
-        return _SOBOLEV_CACHE[N]
-    from scipy.integrate import quad
+    """S by Talenti's closed form; the bubble norms are S^(N/2).
 
+    S = N(N-2) pi (Gamma(N/2)/Gamma(N))^(2/N), and the bubble U attains it:
+    ||grad U||_2^2 = ||U||_{2*}^{2*} = S^(N/2).
+    """
     exponents(N, 2.0 + 2.0 / N)  # validates N
-    two_star = 2.0 * N / (N - 2)
-    A = instanton_amplitude(N)
-    omega = sphere_area(N)
-    # |U'(r)|^2 r^(N-1) = (N-2)^2 A^2 r^(N+1) (1+r^2)^(-N)
-    I_grad, err1 = quad(
-        lambda r: r ** (N + 1) * (1 + r * r) ** (-N), 0, np.inf,
-        epsabs=0.0, epsrel=1e-12, limit=200,
-    )
-    # |U(r)|^{2*} r^(N-1) = A^{2*} r^(N-1) (1+r^2)^(-N)
-    I_crit, err2 = quad(
-        lambda r: r ** (N - 1) * (1 + r * r) ** (-N), 0, np.inf,
-        epsabs=0.0, epsrel=1e-12, limit=200,
-    )
-    grad_sq = omega * (N - 2.0) ** 2 * A * A * I_grad
-    crit = omega * A ** two_star * I_crit
-    S = grad_sq / crit ** (2.0 / two_star)
-    out = SobolevConstant(N, S, S ** (N / 2.0), grad_sq, crit)
-    _SOBOLEV_CACHE[N] = out
-    return out
-
-
-def sobolev_constant_closed_form(N):
-    """Talenti's closed form S = N(N-2) pi (Gamma(N/2)/Gamma(N))^(2/N)."""
-    return (
-        N * (N - 2.0) * math.pi
-        * (math.gamma(N / 2.0) / math.gamma(float(N))) ** (2.0 / N)
-    )
+    S = N * (N - 2.0) * math.pi * (math.gamma(N / 2.0) / math.gamma(float(N))) ** (2.0 / N)
+    S_pow = S ** (N / 2.0)
+    return SobolevConstant(N, S, S_pow, S_pow, S_pow)
 
 
 # ----------------------------------------------------------------------------
@@ -219,6 +189,9 @@ def _shoot(N, q, s, r_end=40.0):
         return "decay", miss, sol
     # did not decay and no event fired before r_end: treat like a turn
     return "turn", miss, sol
+
+
+_GN_CACHE: dict = {}
 
 
 def gn_ground_state(N, q):

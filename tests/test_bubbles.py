@@ -94,7 +94,7 @@ def test_truncated_continuity_at_matching_radii():
     N, n = 3, 24
     A = instanton_amplitude(N)
     core_at_1 = A * (n / (1.0 + n ** 2)) ** 0.5
-    ramp = B._truncated_values(N, n, np.array([1.0, 2.0, 2.5]))
+    ramp = B._ramped_values(N, n, 1.0, 2.0, np.array([1.0, 2.0, 2.5]))
     assert ramp[0] == pytest.approx(core_at_1 * (2.0 - 1.0), rel=1e-15)
     assert ramp[1] == 0.0
     assert ramp[2] == 0.0
@@ -196,7 +196,7 @@ def test_cutoff_solver_back_substitution():
     for N, c, n in [(4, 1.0, 32), (4, 1.0, 256), (3, 100.0, 1000), (5, 1.0, 40)]:
         R = B.solve_cutoff_radius(N, c, n)
         assert R > float(n) ** (2.0 / 3.0)
-        assert B._normalized_mass_model(N, n, R) == pytest.approx(c, rel=1e-12)
+        assert B.normalized_norms_model(N, c, n)["mass"] == pytest.approx(c, rel=1e-12)
 
 
 def test_cutoff_radius_frozen_values():
@@ -270,6 +270,18 @@ def test_normalized_dual_route_agreement():
         # scale rather than the deviation scale
         assert abs(nb.grad_sq - mod["grad_sq"]) < 2e-5 * sob.S_pow
         assert abs(nb.lcrit - mod["lcrit"]) < 1e-7 * sob.S_pow
+
+
+@pytest.mark.parametrize("N", [3, 4, 5])
+@pytest.mark.parametrize("q", [2.5, 3.0])
+def test_the_two_models_describe_one_family(N, q):
+    # at n = 1 the mass-c family has the truncated family's kink n^(2/3) = 1,
+    # so the mass of the truncated member puts its cutoff at R = 2
+    trunc = B.truncated_norms_model(N, 1, q)
+    assert B.solve_cutoff_radius(N, trunc[0], 1) == pytest.approx(2.0, rel=1e-12)
+    mod = B.normalized_norms_model(N, trunc[0], 1)
+    got = (mod["mass"], mod["grad_sq"], mod["lcrit"], mod["lq"](q))
+    assert got == pytest.approx(trunc, rel=1e-12)
 
 
 def test_normalized_model_deviation_slopes():

@@ -17,10 +17,10 @@ from massnls.constants import (
     gn_ground_state,
     instanton_amplitude,
     sobolev_constant,
-    sobolev_constant_closed_form,
     thresholds,
     weinstein_quotient_min,
 )
+from massnls.grid import sphere_area
 
 # values frozen from the oracle routes (quadrature / shooting), grid-free
 S3 = 5.477904089531
@@ -82,23 +82,40 @@ def test_sobolev_frozen_values():
     assert sobolev_constant(4).S == pytest.approx(S4, rel=1e-9)
 
 
+def _bubble_norms_by_quadrature(N):
+    """(||grad U||_2^2, ||U||_{2*}^{2*}) of the Aubin-Talenti bubble by
+    adaptive quadrature of its radial integrands on [0, inf)."""
+    A = instanton_amplitude(N)
+    # |U'(r)|^2 r^(N-1) = (N-2)^2 A^2 r^(N+1) (1+r^2)^(-N)
+    I_grad = scipy.integrate.quad(lambda r: r ** (N + 1) * (1 + r * r) ** (-N), 0, np.inf,
+                                  epsabs=0.0, epsrel=1e-12, limit=200)[0]
+    # |U(r)|^{2*} r^(N-1) = A^{2*} r^(N-1) (1+r^2)^(-N)
+    I_crit = scipy.integrate.quad(lambda r: r ** (N - 1) * (1 + r * r) ** (-N), 0, np.inf,
+                                  epsabs=0.0, epsrel=1e-12, limit=200)[0]
+    two_star = 2.0 * N / (N - 2)
+    return (sphere_area(N) * (N - 2.0) ** 2 * A * A * I_grad,
+            sphere_area(N) * A ** two_star * I_crit)
+
+
 @pytest.mark.parametrize("N", [3, 4, 5, 6])
 def test_sobolev_two_routes_agree(N):
-    sc = sobolev_constant(N)
-    cf = sobolev_constant_closed_form(N)
-    assert sc.S == pytest.approx(cf, rel=1e-6)
+    grad_sq, crit = _bubble_norms_by_quadrature(N)
+    quad_S = grad_sq / crit ** ((N - 2) / N)
+    assert sobolev_constant(N).S == pytest.approx(quad_S, rel=1e-6)
 
 
 @pytest.mark.parametrize("N", [3, 4, 5, 6])
 def test_instanton_saturates(N):
     # the bubble turns the Sobolev inequality into an equality and
-    # ||grad U||^2 = ||U||_{2*}^{2*} = S^{N/2}
+    # ||grad U||^2 = ||U||_{2*}^{2*} = S^{N/2}, the norms taken by quadrature
     sc = sobolev_constant(N)
-    assert sc.grad_sq == pytest.approx(sc.crit_norm, rel=1e-8)
-    assert sc.grad_sq == pytest.approx(sc.S_pow, rel=1e-8)
+    grad_sq, crit = _bubble_norms_by_quadrature(N)
+    assert grad_sq == pytest.approx(crit, rel=1e-8)
+    assert grad_sq == pytest.approx(sc.S_pow, rel=1e-8)
+    assert sc.grad_sq == sc.crit_norm == sc.S_pow
     two_star = 2 * N / (N - 2)
-    lhs = sc.S * sc.crit_norm ** (2 / two_star)
-    assert lhs == pytest.approx(sc.grad_sq, rel=1e-8)
+    lhs = sc.S * crit ** (2 / two_star)
+    assert lhs == pytest.approx(grad_sq, rel=1e-8)
 
 
 def test_instanton_amplitude_value():
