@@ -20,11 +20,10 @@ while leaving the gradient and critical norms invariant.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from math import comb
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.optimize import brentq, minimize_scalar
 
 from .constants import instanton_amplitude, sobolev_constant
@@ -199,41 +198,33 @@ def mass_normalized_instanton(N, c, n, grid=None):
 # closed-form norm model
 # ----------------------------------------------------------------------------
 
+def _core_integral(m, e, x):
+    """J(m, e, x) = int_0^x s^m (1+s^2)^(-e) ds.
+
+    [0, min(x, 1)] is integrated directly and [1, x] in y = log s, where the
+    integrand stays smooth however far x reaches; one rule over [0, x]
+    misses the peak near s = 1 at large x.  Through s = 1/w the tail
+    int_x^inf is J(2e - m - 2, e, 1/x), a finite interval.
+    """
+    from scipy.integrate import quad
+
+    def integral(g, a, b):
+        return quad(g, a, b, epsabs=0.0, epsrel=1e-12, limit=200)[0]
+
+    val = integral(lambda s: s ** m * (1.0 + s * s) ** (-e), 0.0, min(x, 1.0))
+    if x > 1.0:
+        val += integral(lambda y: math.exp((m + 1) * y) * (1.0 + math.exp(2.0 * y)) ** (-e),
+                        0.0, math.log(x))
+    return val
+
+
 def _xi_mass(N, x):
     """xi(x) = int_0^x s^(N-1) (1+s^2)^(2-N) ds (mass core integral)."""
     if N == 3:
         return x - np.arctan(x)
     if N == 4:
         return 0.5 * (np.log1p(x ** 2) + 1.0 / (1.0 + x ** 2) - 1.0)
-    val, _ = quad(lambda s: s ** (N - 1) * (1.0 + s * s) ** (2 - N), 0.0, x,
-                  epsabs=0.0, epsrel=1e-12, limit=200)
-    return val
-
-
-def _tail_grad(N, x):
-    """int_x^inf s^(N+1) (1+s^2)^(-N) ds.
-
-    Mapped through w = 1/s onto the finite interval (0, 1/x]; the direct
-    infinite-interval rule loses the tiny result to roundoff at large x.
-    """
-    val, _ = quad(lambda w: w ** (N - 3) * (1.0 + w * w) ** (-N), 0.0, 1.0 / x,
-                  epsabs=0.0, epsrel=1e-12, limit=200)
-    return val
-
-
-def _tail_crit(N, x):
-    """int_x^inf s^(N-1) (1+s^2)^(-N) ds, mapped like _tail_grad."""
-    val, _ = quad(lambda w: w ** (N - 1) * (1.0 + w * w) ** (-N), 0.0, 1.0 / x,
-                  epsabs=0.0, epsrel=1e-12, limit=200)
-    return val
-
-
-def _core_q(N, q, x):
-    """int_0^x s^(N-1) (1+s^2)^(-q(N-2)/2) ds."""
-    e = q * (N - 2) / 2.0
-    val, _ = quad(lambda s: s ** (N - 1) * (1.0 + s * s) ** (-e), 0.0, x,
-                  epsabs=0.0, epsrel=1e-12, limit=200)
-    return val
+    return _core_integral(N - 1, N - 2, x)
 
 
 def _annulus_power(N, k, a, R):
@@ -249,7 +240,7 @@ def _annulus_power(N, k, a, R):
         return 0.0
     total = 0.0
     for i in range(N):
-        total += comb(N - 1, i) * (-1.0) ** i * R ** (N - 1 - i) * w ** i / (k + i + 1.0)
+        total += math.comb(N - 1, i) * (-1.0) ** i * R ** (N - 1 - i) * w ** i / (k + i + 1.0)
     return w ** (k + 1.0) * total
 
 
@@ -284,15 +275,17 @@ def _ramped_norms(N, n, rho, R):
     x = n * rho
 
     mass_v = _core_mass(N, n, x) + _ramp_moment(N, n, rho, R, 2)
+    # core tails: int_x^inf s^(N+1) (1+s^2)^(-N) ds, then with s^(N-1)
     grad_v = S_pow + om * A ** 2 * (
-        -((N - 2) ** 2) * _tail_grad(N, x)
+        -((N - 2) ** 2) * _core_integral(N - 3, N, 1.0 / x)
         + _edge_sq(N, n, rho) * (R ** N - rho ** N) / (N * (R - rho) ** 2)
     )
-    crit_v = (S_pow - om * A ** two_star * _tail_crit(N, x)
+    crit_v = (S_pow - om * A ** two_star * _core_integral(N - 1, N, 1.0 / x)
               + _ramp_moment(N, n, rho, R, two_star))
 
     def lq_model(q):
-        return (om * A ** q * n ** (-(2.0 * N - (N - 2.0) * q) / 2.0) * _core_q(N, q, x)
+        return (om * A ** q * n ** (-(2.0 * N - (N - 2.0) * q) / 2.0)
+                * _core_integral(N - 1, q * (N - 2) / 2.0, x)
                 + _ramp_moment(N, n, rho, R, q))
 
     return mass_v, grad_v, crit_v, lq_model

@@ -5,12 +5,20 @@ the critical growth ceiling at infinity, the two-sided primitive bracket
 keep multipliers under control.
 
 Everything is judged from samples, so the verdicts are deliberately
-three-valued.  A fail always carries a concrete witness point.  Asymptotic
-claims (limits at 0 or infinity, boundedness of a sup) are certified only
-when the sampled trend is monotone across three decades next to the limit
-and lands beyond a decisive threshold -- below 1e-3 for a vanishing claim,
-above 1e3 for a divergence; anything softer is reported inconclusive with
-the range that was looked at, never silently passed.
+three-valued, and every check is one of three kinds of rule:
+
+  limit claims     a ratio vanishes, or stays bounded, toward 0 or
+                   infinity.  Certified only when the sampled trend is
+                   monotone across three decades next to the limit and
+                   lands beyond a decisive threshold -- below 1e-3 for a
+                   vanishing claim, above 1e3 for a divergence; anything
+                   softer is inconclusive with the range that was looked
+                   at, never silently passed;
+  first-witness    a pointwise inequality fails at the first sample where
+  fails            it is violated, which becomes the fail's witness point;
+  strict margins   a strict inequality that holds at every sample is still
+  that collapse    inconclusive when its relative margin shrinks
+                   monotonically into the equality regime at a sampled end.
 """
 
 from dataclasses import dataclass, field
@@ -113,15 +121,6 @@ def _end_bins(ts_abs, end):
     return bins  # ordered so the last bin hugs the limit
 
 
-def _decade_maxima(ts_abs, vals, end):
-    bins = _end_bins(ts_abs, end)
-    if bins is None:
-        return None, None
-    reps = np.array([np.max(vals[m]) for m in bins])
-    witnesses = np.array([ts_abs[m][np.argmax(vals[m])] for m in bins])
-    return reps, witnesses
-
-
 def _monotone(reps, direction):
     """Strict decade-over-decade trend; infinities never certify one."""
     with np.errstate(invalid="ignore"):
@@ -131,85 +130,74 @@ def _monotone(reps, direction):
         return bool(np.all(d < 0.0)) if direction == "down" else bool(np.all(d > 0.0))
 
 
-def _limit_vanishes(ts, vals, end, label):
-    """Verdict for |ratio| -> 0 at the given end."""
+def _limit(ts, vals, end, label, claim):
+    """Verdict for |ratio| -> 0 (claim "vanishes") or for
+    limsup |ratio| < infinity (claim "bounded") at the given end."""
     ts_abs = np.abs(ts)
-    reps, wit = _decade_maxima(ts_abs, np.abs(vals), end)
     rng = (float(np.min(ts_abs)), float(np.max(ts_abs)))
-    if reps is None:
+    bins = _end_bins(ts_abs, end)
+    if bins is None:
         return Verdict("inconclusive", f"{label}: too few samples per decade",
                        t_range=rng)
-    if np.all(reps <= 1e-12):
-        return Verdict("pass", f"{label}: ratio is zero at every sampled scale")
-    if _monotone(reps, "down") and reps[-1] < VANISH:
-        return Verdict(
-            "pass",
-            f"{label}: ratio falls monotonically across three decades "
-            f"to {reps[-1]:.3g}",
-        )
+    vals = np.abs(vals)
+    reps = np.array([np.max(vals[m]) for m in bins])
+    ok = None
+    if claim == "vanishes":
+        if np.all(reps <= 1e-12):
+            ok = "ratio is zero at every sampled scale"
+        elif _monotone(reps, "down") and reps[-1] < VANISH:
+            ok = f"ratio falls monotonically across three decades to {reps[-1]:.3g}"
+    else:
+        with np.errstate(invalid="ignore"):
+            if (np.all(np.isfinite(reps))
+                    and np.all(np.diff(reps) <= reps[:-1] * 1e-9 + 1e-300)):
+                ok = ("decade maxima are non-increasing toward the limit "
+                      f"(last {reps[-1]:.3g})")
+    if ok is not None:
+        return Verdict("pass", f"{label}: {ok}")
     if _monotone(reps, "up") and reps[-1] > DIVERGE:
+        m = bins[-1]
         return Verdict(
             "fail",
             f"{label}: ratio grows monotonically across three decades "
             f"to {reps[-1]:.3g}",
-            witness_t=float(wit[-1]),
+            witness_t=float(ts_abs[m][np.argmax(vals[m])]),
         )
+    target = "the limit" if claim == "vanishes" else "boundedness"
     return Verdict(
         "inconclusive",
-        f"{label}: sampled trend does not certify the limit "
+        f"{label}: sampled trend does not certify {target} "
         f"(last three decade maxima {reps.tolist()})",
         t_range=rng,
     )
 
 
-def _limit_bounded(ts, vals, end, label):
-    """Verdict for limsup |ratio| < infinity at the given end."""
-    ts_abs = np.abs(ts)
-    reps, wit = _decade_maxima(ts_abs, np.abs(vals), end)
-    rng = (float(np.min(ts_abs)), float(np.max(ts_abs)))
-    if reps is None:
-        return Verdict("inconclusive", f"{label}: too few samples per decade",
-                       t_range=rng)
-    with np.errstate(invalid="ignore"):
-        flat_or_down = bool(
-            np.all(np.isfinite(reps))
-            and np.all(np.diff(reps) <= reps[:-1] * 1e-9 + 1e-300)
-        )
-    if flat_or_down:
-        return Verdict(
-            "pass",
-            f"{label}: decade maxima are non-increasing toward the limit "
-            f"(last {reps[-1]:.3g})",
-        )
-    if _monotone(reps, "up") and reps[-1] > DIVERGE:
-        return Verdict(
-            "fail",
-            f"{label}: ratio grows monotonically across three decades "
-            f"to {reps[-1]:.3g}",
-            witness_t=float(wit[-1]),
-        )
-    return Verdict(
-        "inconclusive",
-        f"{label}: sampled trend does not certify boundedness "
-        f"(last three decade maxima {reps.tolist()})",
-        t_range=rng,
-    )
+def _first_fail(ts, bad, detail, *quoted):
+    """A fail at the first sample where `bad` holds, else None.  The detail
+    is formatted with the values of the `quoted` arrays at that sample."""
+    if not np.any(bad):
+        return None
+    k = int(np.argmax(bad))
+    return Verdict("fail", detail.format(*(a[k] for a in quoted)),
+                   witness_t=float(ts[k]))
 
 
-def _margin_collapses(ts, margin):
-    """Whether a strict relative margin shrinks monotonically into the
-    equality regime at either sampled end; returns the offending range."""
+def _strict(ts, margins, doubt, ok):
+    """Pass with `ok`, unless one of the strict relative margins shrinks
+    monotonically into the equality regime at a sampled end; then
+    inconclusive with `doubt` over the range of that end's three decades."""
     ts_abs = np.abs(ts)
-    for end in ("large", "small"):
-        bins = _end_bins(ts_abs, end)
-        if bins is None:
-            continue
-        reps = np.array([np.min(margin[m]) for m in bins])
-        if _monotone(reps, "down") and reps[-1] < VANISH:
-            lo = min(float(np.min(ts_abs[m])) for m in bins)
-            hi = max(float(np.max(ts_abs[m])) for m in bins)
-            return (lo, hi)
-    return None
+    for margin in margins:
+        for end in ("large", "small"):
+            bins = _end_bins(ts_abs, end)
+            if bins is None:
+                continue
+            reps = np.array([np.min(margin[m]) for m in bins])
+            if _monotone(reps, "down") and reps[-1] < VANISH:
+                lo = min(float(np.min(ts_abs[m])) for m in bins)
+                hi = max(float(np.max(ts_abs[m])) for m in bins)
+                return Verdict("inconclusive", doubt, t_range=(lo, hi))
+    return Verdict("pass", ok)
 
 
 def _worst(parts):
@@ -334,146 +322,88 @@ def check_conditions(f, N, kappa, t_samples=None):
 
     # -- F0: zero slope at the origin, critical ceiling at infinity
     verdicts["F0"] = _worst([
-        _limit_vanishes(ts, small_f0, "small", "f(t)/t at 0"),
-        _limit_bounded(ts, growth, "large", "|f|/|t|^(2*-1) at infinity"),
+        _limit(ts, small_f0, "small", "f(t)/t at 0", "vanishes"),
+        _limit(ts, growth, "large", "|f|/|t|^(2*-1) at infinity", "bounded"),
     ])
 
     # -- F1: mass-critical vanishing at 0, subcritical decay at infinity
     verdicts["F1"] = _worst([
-        _limit_vanishes(ts, small_f1, "small", "f(t)/|t|^(1+4/N) at 0"),
-        _limit_vanishes(ts, growth, "large", "|f|/|t|^(2*-1) at infinity"),
+        _limit(ts, small_f1, "small", "f(t)/|t|^(1+4/N) at 0", "vanishes"),
+        _limit(ts, growth, "large", "|f|/|t|^(2*-1) at infinity", "vanishes"),
     ])
 
     # -- F2: 0 < (2+4/N) F <= f t < 2* F
     scale_low = np.abs(ft) + q_bar * np.abs(Fv) + 1e-300
     scale_up = np.abs(ft) + two_star * np.abs(Fv) + 1e-300
     pos_bad = Fv <= 0.0
-    if np.any(pos_bad):
-        w = float(ts[pos_bad][0])
-        pos_v = Verdict(
-            "fail", f"positivity 0 < (2+4/N) F(t) fails (F = {Fv[pos_bad][0]:.3g})",
-            witness_t=w,
-        )
-    else:
-        pos_v = Verdict("pass", "F(t) > 0 at every sample")
-
     low_margin = (ft - q_bar * Fv) / scale_low
-    low_bad = low_margin < -EQUALITY_EPS
-    if np.any(low_bad):
-        w = float(ts[low_bad][0])
-        low_v = Verdict(
-            "fail", "lower bracket (2+4/N) F(t) <= f(t)t fails", witness_t=w
-        )
-    else:
-        low_v = Verdict("pass", "lower bracket holds at every sample")
-
     up_margin = (two_star * Fv - ft) / scale_up
-    up_bad = up_margin < -EQUALITY_EPS
-    if np.any(up_bad):
-        w = float(ts[up_bad][0])
-        up_v = Verdict("fail", "upper bracket f(t)t < 2* F(t) fails", witness_t=w)
-    elif float(np.median(up_margin)) <= EQUALITY_EPS:
-        k = int(np.argmin(up_margin))
-        up_v = Verdict(
+    if float(np.median(up_margin)) <= EQUALITY_EPS:
+        up_equal = Verdict(
             "fail",
             "upper bracket f(t)t < 2* F(t) holds only with equality "
             "(strictness fails at roundoff)",
-            witness_t=float(ts[k]),
+            witness_t=float(ts[int(np.argmin(up_margin))]),
         )
     else:
-        collapse = _margin_collapses(ts, up_margin)
-        if collapse is not None:
-            up_v = Verdict(
-                "inconclusive",
-                "upper bracket margin collapses toward equality at the "
-                "sampled edge; strictness for all t cannot be certified",
-                t_range=collapse,
-            )
-        else:
-            up_v = Verdict("pass", "upper bracket holds strictly at every sample")
-    verdicts["F2"] = _worst([pos_v, low_v, up_v])
+        up_equal = None
+    verdicts["F2"] = _worst([
+        _first_fail(ts, pos_bad, "positivity 0 < (2+4/N) F(t) fails (F = {:.3g})", Fv)
+        or Verdict("pass", "F(t) > 0 at every sample"),
+        _first_fail(ts, low_margin < -EQUALITY_EPS,
+                    "lower bracket (2+4/N) F(t) <= f(t)t fails")
+        or Verdict("pass", "lower bracket holds at every sample"),
+        _first_fail(ts, up_margin < -EQUALITY_EPS, "upper bracket f(t)t < 2* F(t) fails")
+        or up_equal
+        or _strict(ts, [up_margin],
+                   "upper bracket margin collapses toward equality at the "
+                   "sampled edge; strictness for all t cannot be certified",
+                   "upper bracket holds strictly at every sample"),
+    ])
 
     # -- F3 / F3': the kappa-coercivity ratios presuppose f t - 2F >= 0
-    num_bad = num < -EQUALITY_EPS * scale_up
-    if np.any(num_bad):
-        rng = (float(np.min(ta)), float(np.max(ta)))
-        precond = Verdict(
+    if np.any(num < -EQUALITY_EPS * scale_up):
+        verdicts["F3"] = verdicts["F3prime"] = Verdict(
             "inconclusive",
             "f(t)t - 2F(t) is negative at sampled points, so the coercivity "
             "ratios are not defined as stated",
-            t_range=rng,
+            t_range=(float(np.min(ta)), float(np.max(ta))),
         )
-        verdicts["F3"] = precond
-        verdicts["F3prime"] = precond
         c0 = float("nan")
     else:
-        verdicts["F3"] = _limit_bounded(
-            ts, growth_ratio, "large", "coercivity ratio at infinity"
-        )
+        verdicts["F3"] = _limit(ts, growth_ratio, "large",
+                                "coercivity ratio at infinity", "bounded")
         valid = den > 0.0
-        lhs_pos = np.abs(num) > 1e-300
-        blocked = (~valid) & lhs_pos
-        if np.any(blocked):
-            w = float(ts[blocked][0])
-            verdicts["F3prime"] = Verdict(
-                "fail",
-                "N f(t)t - (2N+4) F(t) is not positive where the left side "
-                "is, so no constant C0 can close the pointwise bound",
-                witness_t=w,
-            )
-        else:
-            parts = [
-                _limit_bounded(ts, pointwise, "large",
-                               "pointwise coercivity ratio at infinity"),
-                _limit_bounded(ts, pointwise, "small",
-                               "pointwise coercivity ratio at 0"),
-            ]
-            verdicts["F3prime"] = _worst(parts)
+        verdicts["F3prime"] = _first_fail(
+            ts, (~valid) & (np.abs(num) > 1e-300),
+            "N f(t)t - (2N+4) F(t) is not positive where the left side "
+            "is, so no constant C0 can close the pointwise bound",
+        ) or _worst([
+            _limit(ts, pointwise, "large",
+                   "pointwise coercivity ratio at infinity", "bounded"),
+            _limit(ts, pointwise, "small",
+                   "pointwise coercivity ratio at 0", "bounded"),
+        ])
         c0 = float(np.max(pointwise[valid])) if np.any(valid) else float("nan")
 
     # -- H1-style strict bracket with room on both sides
-    if np.any(pos_bad):
-        verdicts["H1_bracket"] = Verdict(
-            "fail", "ratio f(t)t/F(t) undefined where F(t) <= 0",
-            witness_t=float(ts[pos_bad][0]),
+    gap_lo = (bracket - q_bar) / (two_star - q_bar)
+    gap_hi = (two_star - bracket) / (two_star - q_bar)
+    verdicts["H1_bracket"] = (
+        _first_fail(ts, pos_bad, "ratio f(t)t/F(t) undefined where F(t) <= 0")
+        or _first_fail(ts, gap_lo <= EQUALITY_EPS,
+                       "no alpha > 2+4/N fits below the sampled ratio f(t)t/F(t)")
+        or _first_fail(ts, gap_hi <= EQUALITY_EPS,
+                       "no beta < 2* fits above the sampled ratio f(t)t/F(t)")
+        or _strict(
+            ts, [gap_lo, gap_hi],
+            "the sampled ratio f(t)t/F(t) approaches an endpoint of "
+            "(2+4/N, 2*); a strict two-sided bracket cannot be certified",
+            f"sampled ratio stays in [{float(np.nanmin(bracket)):.6g}, "
+            f"{float(np.nanmax(bracket)):.6g}] strictly inside "
+            f"({q_bar:.6g}, {two_star:.6g})",
         )
-    else:
-        gap_lo = (bracket - q_bar) / (two_star - q_bar)
-        gap_hi = (two_star - bracket) / (two_star - q_bar)
-        lo_bad = gap_lo <= EQUALITY_EPS
-        hi_bad = gap_hi <= EQUALITY_EPS
-        if np.any(lo_bad):
-            verdicts["H1_bracket"] = Verdict(
-                "fail",
-                "no alpha > 2+4/N fits below the sampled ratio f(t)t/F(t)",
-                witness_t=float(ts[lo_bad][0]),
-            )
-        elif np.any(hi_bad):
-            verdicts["H1_bracket"] = Verdict(
-                "fail",
-                "no beta < 2* fits above the sampled ratio f(t)t/F(t)",
-                witness_t=float(ts[hi_bad][0]),
-            )
-        else:
-            collapse = _margin_collapses(ts, gap_lo)
-            if collapse is None:
-                collapse = _margin_collapses(ts, gap_hi)
-            if collapse is not None:
-                verdicts["H1_bracket"] = Verdict(
-                    "inconclusive",
-                    "the sampled ratio f(t)t/F(t) approaches an endpoint of "
-                    "(2+4/N, 2*); a strict two-sided bracket cannot be "
-                    "certified",
-                    t_range=collapse,
-                )
-            else:
-                verdicts["H1_bracket"] = Verdict(
-                    "pass",
-                    f"sampled ratio stays in "
-                    f"[{float(np.nanmin(bracket)):.6g}, "
-                    f"{float(np.nanmax(bracket)):.6g}] strictly inside "
-                    f"({q_bar:.6g}, {two_star:.6g})",
-                )
+    )
 
     return ConditionReport(
         N=N,

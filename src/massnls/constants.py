@@ -129,15 +129,15 @@ class GNGroundState:
     shots: int          # _shoot calls: doubling, regula falsi and the final shot
 
 
-def _shoot(N, q, s, r_end=40.0):
+def _shoot(N, q, s):
     """Integrate the radial ground-state ODE from Q(0) = s.
 
     Returns (verdict, miss, solution) with verdict in {'cross', 'turn', 'decay'}:
     'cross'  -- Q hit zero (s too large),
     'turn'   -- Q' turned positive while Q > 0 (s too small),
-    'decay'  -- integrated to r_end with Q decayed below 1e-6.
+    'decay'  -- integrated to r = 40 with Q decayed below 1e-6.
     The signed miss is M(s) = -Q'^2 r^(N-1) at a crossing, +Q^2 r^(N-1) at
-    a turning point and sign(Q) Q^2 r^(N-1) at r_end when no event fires.
+    a turning point and sign(Q) Q^2 r^(N-1) at r = 40 when no event fires.
     The factor r^(N-1) cancels the radial prefactor of the growing mode
     e^r r^(-(N-1)/2) that s - Q(0)* excites, so M is close to linear in s
     near the ground-state height Q(0)*: M/(s - Q(0)*) varies by less than
@@ -174,7 +174,7 @@ def _shoot(N, q, s, r_end=40.0):
     ev_turn.direction = 1.0
 
     sol = solve_ivp(
-        rhs, (r0, r_end), y0, method="DOP853", rtol=1e-10, atol=1e-13,
+        rhs, (r0, 40.0), y0, method="DOP853", rtol=1e-10, atol=1e-13,
         events=(ev_cross, ev_turn), dense_output=False,
     )
     if sol.t_events[0].size:
@@ -187,7 +187,7 @@ def _shoot(N, q, s, r_end=40.0):
     miss = math.copysign(Q * Q * sol.t[-1] ** (N - 1), Q)
     if abs(Q) < 1e-6:
         return "decay", miss, sol
-    # did not decay and no event fired before r_end: treat like a turn
+    # did not decay and no event fired before r = 40: treat like a turn
     return "turn", miss, sol
 
 
@@ -281,12 +281,12 @@ def gn_constant(N, q):
     return gn_ground_state(N, q).C
 
 
-def weinstein_quotient_min(N, q, M=500, R=25.0):
+def weinstein_quotient_min(N, q):
     """Independent estimate of C_{N,q} by direct quotient minimization.
 
     Minimizes log of the (inverse) Weinstein quotient over nodal profiles on
-    a graded grid; never touches the shooting path.  Returns the implied
-    C_{N,q} estimate.
+    a graded grid of 500 cells on [0, 25]; never touches the shooting path.
+    Returns the implied C_{N,q} estimate.
 
     Budget: one L-BFGS-B run from exp(-r/2), stopped at maxiter = maxfun =
     4000.  At (N, q) = (3, 2.5) that reaches 3.7e-6 relative to the shooting
@@ -298,7 +298,7 @@ def weinstein_quotient_min(N, q, M=500, R=25.0):
 
     ep = exponents(N, q)
     gam = ep.gamma_q
-    g = make_grid(N, R, M, grading="graded", strength=1.5)
+    g = make_grid(N, 25.0, 500, grading="graded", strength=1.5)
     K = g.stiffness  # P1 Dirichlet form: no null modes for the optimizer to hide in
     w = g.omega_N * g.weights
 

@@ -371,14 +371,14 @@ class GeneralNonlinearity:
 
         return np.vectorize(single)(t)
 
-    def primitive_defect(self, ts, rel_step=1e-6):
+    def primitive_defect(self, ts):
         """max relative |F' - f| over sample points with |f| above 1e-8.
 
-        Central differences of `primitive`; a well-formed pair returns a
-        value below ~1e-6.
+        Central differences of `primitive` with step 1e-6 max(1, |t|); a
+        well-formed pair returns a value below ~1e-6.
         """
         ts = np.asarray(ts, dtype=float)
-        h = rel_step * np.maximum(1.0, np.abs(ts))
+        h = 1e-6 * np.maximum(1.0, np.abs(ts))
         fd = (self.primitive(ts + h) - self.primitive(ts - h)) / (2.0 * h)
         fv = self.f(ts)
         keep = np.abs(fv) > 1e-8
@@ -410,14 +410,13 @@ def power_nonlinearity(p):
     return GeneralNonlinearity(f, F, label=f"mu|t|^{q - 2}t + |t|^{ts - 2}t")
 
 
-def pohozaev_general(u, nl, N=None):
+def pohozaev_general(u, nl):
     """P(u) = ||grad u||^2 - (N/2) int [f(u) u - 2 F(u)] dx."""
     g = u.grid
-    N = g.N if N is None else N
     vals = u.values
     integrand = nl.f(vals) * vals - 2.0 * nl.primitive(vals)
     pot = g.omega_N * _dot(g.weights, integrand)
-    return grad_norm_sq(u) - 0.5 * N * pot
+    return grad_norm_sq(u) - 0.5 * g.N * pot
 
 
 # ----------------------------------------------------------------------------
@@ -483,5 +482,5 @@ def energy_report(u, p):
         pohozaev=fiber_derivative(nb, p, 1.0),
         multiplier=(nb.grad_sq - p.mu * nb.lq - nb.lcrit) / nb.mass,
         kkt_residual=kkt_residual(u, p),
-        mass_tail=tail_fraction(u, 2),
+        mass_tail=tail_fraction(u),
     )

@@ -445,18 +445,18 @@ def grad_norm_sq(u):
     return g.omega_N * _dot(g.weights, du * du)
 
 
-def tail_fraction(u, s=2):
-    """Fraction of ||u||_s^s carried by the outer 5% of the radial extent.
+def tail_fraction(u):
+    """Fraction of the mass ||u||_2^2 carried by the outer 5% of the radius.
 
     Truncation diagnostic: values well above ~1e-6 indicate the profile is
     not compactly contained in the computational ball.
     """
     g = u.grid
-    total = _dot(g.weights, np.abs(u.values) ** s)
+    total = _dot(g.weights, np.abs(u.values) ** 2)
     if total <= 0.0:
         return 0.0
     sel = g.nodes >= 0.95 * g.R_max
-    return _dot(g.weights[sel], np.abs(u.values[sel]) ** s) / total
+    return _dot(g.weights[sel], np.abs(u.values[sel]) ** 2) / total
 
 
 def _pchip_values(nodes, values, radii):

@@ -301,7 +301,7 @@ def _newton_step(g, gp, p, lam, resid):
     return du0 + dlam * du1, dlam, None
 
 
-def _newton_polish(g, vals, p, grad_tol, max_iters=40):
+def _newton_polish(g, vals, p, grad_tol):
     """Bordered Newton on the constrained Euler-Lagrange system.
 
     Armijo descent cannot certify progress once energy decrements drop under
@@ -311,12 +311,13 @@ def _newton_polish(g, vals, p, grad_tol, max_iters=40):
     steps solve the KKT linearization with the mass constraint bordered in
     (`_newton_step`) and aim at grad_tol / 10.
 
-    Stopping.  "tol" at that target.  The L^2_h residual has a roundoff
-    floor of its own (a few 1e-9 on the benchmark grids, rising like h^-2
-    under refinement), so once the residual is at or below grad_tol a full
-    step that fails to lower it ends the polish ("floor"): halving a step
-    into the noise cannot help.  Above grad_tol a failed step is halved up
-    to 7 times, and "no_descent" means none of the 8 lowered the residual.
+    Stopping.  "tol" at that target, "max_iters" after 40 steps.  The L^2_h
+    residual has a roundoff floor of its own (a few 1e-9 on the benchmark
+    grids, rising like h^-2 under refinement), so once the residual is at or
+    below grad_tol a full step that fails to lower it ends the polish
+    ("floor"): halving a step into the noise cannot help.  Above grad_tol a
+    failed step is halved up to 7 times, and "no_descent" means none of the
+    8 lowered the residual.
     "lu_failed", "singular_border" and "non_finite" come from
     `_newton_step`.
 
@@ -334,7 +335,7 @@ def _newton_polish(g, vals, p, grad_tol, max_iters=40):
     start, phi0 = vals, fiber_energy(gp.bundle, p, 1.0)
     stop = "max_iters"
     steps = factorizations = 0
-    for _ in range(max_iters):
+    for _ in range(40):
         if pnorm <= tol:
             break
         du, _, reason = _newton_step(g, gp, p, lam, resid)
@@ -461,13 +462,15 @@ def gaussian_valley_init(p, grid=None):
     return normalize_mass(u, p.c)
 
 
-def concentration_init(p, grid=None, seed=0, n=12):
+def concentration_init(p, grid=None, seed=0):
     """Truncated instanton blended with a Gaussian, then mass-normalized.
 
     The instanton part probes the concentration regime, the Gaussian the
     spread regime; the seed varies the blend weight and the Gaussian width
-    so that restarts explore genuinely different basins of attraction.
+    so that restarts explore genuinely different basins of attraction.  The
+    instanton has concentration n = 12.
     """
+    n = 12
     if grid is None:
         grid = bubble_grid(p.N, n, 30.0, barrier_radii=(1.0, 2.0))
     rng = np.random.default_rng(seed)

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import beta
 
 from massnls import bubbles as B
 from massnls.constants import instanton_amplitude, sobolev_constant, thresholds
@@ -20,7 +21,7 @@ from massnls.errors import (
     ResolutionError,
 )
 from massnls.functionals import energy, fiber_energy, normalize_mass, problem, stiff_bundle
-from massnls.grid import RadialFunction, make_grid, mass, norms, pchip_resample
+from massnls.grid import RadialFunction, make_grid, mass, norms, pchip_resample, sphere_area
 
 from csr_oracle import stiffness_csr
 
@@ -251,9 +252,28 @@ def test_cutoff_rejects_bad_mass():
 # ----------------------------------------------------------------------------
 
 def test_normalized_mass_contract():
-    for N, c, n in [(4, 1.0, 32), (4, 1.0, 256), (3, 100.0, 1000)]:
+    for N, c, n in [(4, 1.0, 32), (4, 1.0, 256), (3, 100.0, 1000), (5, 1.0, 2000)]:
         u = B.mass_normalized_instanton(N, c, n)
         assert abs(mass(u) - c) <= 1e-8 * c
+
+
+@pytest.mark.parametrize("m, e", [(4, 3), (3, 3.0)], ids=["mass_N5", "norm_N4_q3"])
+def test_core_integral_and_its_tail_sum_to_the_beta_function(m, e):
+    # int_0^inf s^m (1+s^2)^(-e) ds = B((m+1)/2, e - (m+1)/2) / 2, split at
+    # an x far beyond the integrand's peak near s = 1
+    x = 1e7
+    total = B._core_integral(m, e, x) + B._core_integral(2 * e - m - 2, e, 1.0 / x)
+    a = (m + 1) / 2.0
+    assert total == pytest.approx(0.5 * beta(a, e - a), rel=1e-13)
+
+
+def test_core_mass_far_out_in_five_dimensions():
+    # x = n^(5/3) ~ 3.2e5, where int_x^inf s^4 (1+s^2)^(-3) ds = 1/x to 1e-16
+    n = 2000
+    x = n ** (5.0 / 3.0)
+    want = (sphere_area(5) * instanton_amplitude(5) ** 2
+            * (3.0 * np.pi / 16.0 - 1.0 / x) / n ** 2)
+    assert B.core_mass(5, n) == pytest.approx(want, rel=1e-13)
 
 
 def test_normalized_dual_route_agreement():

@@ -116,6 +116,70 @@ def test_mass_critical_power_blocks_the_pointwise_bound():
     assert v.witness_t is not None
 
 
+def test_beyond_critical_power_fails_vanishing_and_upper_bracket():
+    # p = 7 > 2* = 6: |f|/|t|^5 = |t| grows through the last three decades,
+    # and f t = 7F exceeds 6F by a margin, not at roundoff
+    rpt = check_conditions(_power(7.0), 3, 2.0)
+    v = rpt.verdicts["F1"]
+    assert v.status == "fail"
+    assert "grows monotonically" in v.detail
+    assert v.witness_t == pytest.approx(1e6)
+    v = rpt.verdicts["F2"]
+    assert v.status == "fail"
+    assert v.detail == "upper bracket f(t)t < 2* F(t) fails"
+    assert rpt.verdicts["H1_bracket"].status == "fail"
+
+
+def test_mass_subcritical_power_fails_the_lower_bracket():
+    # p = 3 < 2+4/3: f t = 3F sits below (10/3) F everywhere
+    rpt = check_conditions(_power(3.0), 3, 2.0)
+    v = rpt.verdicts["F2"]
+    assert v.status == "fail"
+    assert v.detail == "lower bracket (2+4/N) F(t) <= f(t)t fails"
+    v = rpt.verdicts["H1_bracket"]
+    assert v.status == "fail"
+    assert v.detail.startswith("no alpha > 2+4/N fits below")
+    assert v.witness_t is not None
+
+
+def test_negative_primitive_leaves_coercivity_undefined():
+    neg = GeneralNonlinearity(
+        lambda t: -np.abs(t) ** 2 * np.asarray(t, dtype=float),
+        lambda t: -np.abs(np.asarray(t, dtype=float)) ** 4 / 4.0,
+        label="-|t|^2t",
+    )
+    rpt = check_conditions(neg, 3, 2.0)
+    for key in ("F3", "F3prime"):
+        v = rpt.verdicts[key]
+        assert v.status == "inconclusive"
+        assert "negative at sampled points" in v.detail
+        assert v.t_range == (pytest.approx(1e-6), pytest.approx(1e6))
+    assert np.isnan(rpt.C0_estimate)
+    v = rpt.verdicts["H1_bracket"]
+    assert v.status == "fail"
+    assert v.detail == "ratio f(t)t/F(t) undefined where F(t) <= 0"
+
+
+def test_gapped_samples_leave_the_limits_inconclusive():
+    # the decades next to 1e-6 and 1e6 hold one sample each
+    ts = np.concatenate([[1e-6], np.geomspace(1e-3, 1e3, 61), [1e6]])
+    rpt = check_conditions(_power(4.0), 3, 2.0, t_samples=ts)
+    for key in ("F0", "F1", "F3", "F3prime"):
+        v = rpt.verdicts[key]
+        assert v.status == "inconclusive"
+        assert "too few samples per decade" in v.detail
+        assert v.t_range == (pytest.approx(1e-6), pytest.approx(1e6))
+    assert rpt.verdicts["F2"].status == "pass"
+    assert rpt.verdicts["H1_bracket"].status == "pass"
+
+
+def test_plain_callable_gets_a_quadrature_primitive():
+    rpt = check_conditions(lambda t: np.abs(t) ** 2 * np.asarray(t, dtype=float),
+                           3, 2.0)
+    assert rpt.all_pass
+    assert rpt.C0_estimate == pytest.approx(0.5, rel=1e-6)
+
+
 # ----------------------------------------------------------------------------
 # report mechanics
 # ----------------------------------------------------------------------------
@@ -159,6 +223,9 @@ def test_guards_on_kappa_and_samples():
         check_conditions(_power(4.0), 2, 2.0)
     with pytest.raises(ParameterError, match="nonzero"):
         check_conditions(_power(4.0), 3, 2.0, t_samples=[0.0])
+    with pytest.raises(ParameterError, match="finite"):
+        check_conditions(_power(4.0), 3, 2.0,
+                         t_samples=np.append(np.geomspace(1e-6, 1e6, 61), np.inf))
 
 
 def test_non_finite_evaluation_names_the_point():

@@ -2,7 +2,9 @@
 
 import ast
 import importlib
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -40,3 +42,13 @@ def test_runtime_dependencies_are_the_third_party_imports():
                 imported.add(node.module.split(".")[0])
     third_party = imported - set(sys.stdlib_module_names) - {"massnls"}
     assert declared == third_party == {"numpy", "scipy"}
+
+
+def test_importing_the_package_leaves_scipy_integrate_unloaded():
+    # quadrature is imported inside the functions that integrate
+    code = ("import sys, massnls; "
+            "print(*sorted(m for m in sys.modules if m.startswith('scipy.integrate')))")
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, timeout=120, check=True)
+    assert out.stdout.split() == []
