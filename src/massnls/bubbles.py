@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 
 from .constants import instanton_amplitude, sobolev_constant
 from .errors import (
@@ -46,11 +45,11 @@ from .grid import (
     RadialFunction,
     RadialGrid,
     _dot,
+    _pchip,
     _row_dots,
     _stiff_apply,
     grid_from_nodes,
     mass,
-    pchip_resample,
     sphere_area,
 )
 from .manifold import manifold_projection
@@ -362,6 +361,8 @@ def solve_cutoff_radius(N, c, n):
     cutoff exists when the core alone already reaches c; that case raises
     BracketError rather than returning a spurious near-degenerate root.
     """
+    from scipy.optimize import brentq
+
     if c <= 0.0:
         raise ParameterError(f"target mass must be positive, got {c}")
     rho = float(n) ** (2.0 / 3.0)
@@ -543,6 +544,14 @@ def _build_cross(p, u_c, U_n, c):
     same to the last bit whether it comes alone or in an array.  It
     takes a scalar t (a block of one row, three floats back) or an array of
     weights (three arrays of its shape).  c is the target mass of W(t).
+
+    The "lebesgue_dt" callable serves the Newton refinement of the sup over
+    t.  At a scalar t it forms the one row v = u_c + t U_n on the support
+    and one power |v|^(s-2) per exponent s in (q, 2*), and returns the five
+    floats ||v||_q^q, d/dt ||v||_q^q, d^2/dt^2 ||v||_q^q,
+    d/dt ||v||_{2*}^{2*}, d^2/dt^2 ||v||_{2*}^{2*}, from the sums
+    sum W |v|^(s-2) {v^2, v U_n, U_n^2} times 1, s and s(s-1).  Off the
+    support the norms do not move with t.
     """
     if not u_c.grid.same_layout(U_n.grid):
         raise ParameterError("the superposition needs both profiles on one grid")
@@ -581,6 +590,20 @@ def _build_cross(p, u_c, U_n, c):
             return tuple(float(s[0]) for s in sums)
         return tuple(s.reshape(t.shape) for s in sums)
 
+    WU_s = W_s * U_s
+    WU2_s = WU_s * U_s
+    q, two_star = p.q, p.two_star
+
+    def lebesgue_dt(t):
+        v = t * U_s
+        v += u_s
+        v2 = v * v
+        vWU = v * WU_s
+        pw_q, pw_c = v2 ** e_q, v2 ** e_c
+        return (fixed[1] + _dot(pw_q * v2, W_s),
+                q * _dot(pw_q, vWU), q * (q - 1.0) * _dot(pw_q, WU2_s),
+                two_star * _dot(pw_c, vWU), two_star * (two_star - 1.0) * _dot(pw_c, WU2_s))
+
     return {
         "c": float(c),
         "m_a": _dot(W, u * u),
@@ -590,6 +613,7 @@ def _build_cross(p, u_c, U_n, c):
         "g_x": _dot(U, Ku),
         "g_b": _dot(U, _stiff_apply(g.stiffness, U)),
         "lebesgue": lebesgue,
+        "lebesgue_dt": lebesgue_dt,
     }
 
 
@@ -660,8 +684,60 @@ def _scan(n_list, threshold, row):
 
 
 # coarse grid of superposition weights; the sup over t is refined from its
-# argmax in s = log t
+# argmax in s = log t, to a last Newton step (or bracket) of at most _XATOL
 _T_GRID = np.geomspace(1e-3, 1e3, 25)
+_XATOL = 1e-10
+
+
+def _log_t_slopes(p, cross, s):
+    """dPhi/ds and d^2Phi/ds^2 of Phi(W(t)) at t = e^s.
+
+    Phi(W(t)) = g(t)/2 - (mu/q) T(t) ||v||_q^q - ||v||_{2*}^{2*}/2* with the
+    quadratics m(t), g(t) of `_build_cross`, v = u_c + t U_n and the tau-law
+    T(t) = (m(t)/c)^e, e = ((N-2) q - 2 N)/4, of `_superposition_bundle`;
+    the chain rule in t, then d/ds = t d/dt.
+    """
+    t = math.exp(s)
+    c = cross["c"]
+    e = ((p.N - 2) * p.q - 2.0 * p.N) / 4.0
+    a = (cross["m_a"] + 2.0 * t * cross["m_x"] + t * t * cross["m_b"]) / c
+    a1 = 2.0 * (cross["m_x"] + t * cross["m_b"]) / (c * a)  # a'/a
+    a2 = 2.0 * cross["m_b"] / (c * a)  # a''/a
+    T = a ** e
+    T1 = e * T * a1
+    T2 = e * T * ((e - 1.0) * a1 * a1 + a2)
+    lq, dq, d2q, dc, d2c = cross["lebesgue_dt"](t)
+    k = p.mu / p.q
+    phi1 = cross["g_x"] + t * cross["g_b"] - k * (T1 * lq + T * dq) - dc / p.two_star
+    phi2 = cross["g_b"] - k * (T2 * lq + 2.0 * T1 * dq + T * d2q) - d2c / p.two_star
+    return t * phi1, t * phi1 + t * t * phi2
+
+
+def _argmax_in_log_t(p, cross, lo, s, hi):
+    """The maximizer of Phi(W(e^s)) on the bracket [lo, hi], from s inside it.
+
+    Safeguarded Newton: each pass moves the bracket end on the uphill side
+    of dPhi/ds to s, then takes the Newton step when d^2Phi/ds^2 < 0 and the
+    step lands inside the bracket, and bisects otherwise.  It stops at a
+    Newton step of at most _XATOL (returning the stepped point) or a bracket
+    no wider than _XATOL.
+    """
+    while hi - lo > _XATOL:
+        d1, d2 = _log_t_slopes(p, cross, s)
+        if d1 == 0.0:
+            return s
+        if d1 > 0.0:
+            lo = s
+        else:
+            hi = s
+        step = -d1 / d2 if d2 < 0.0 else math.nan
+        if lo < s + step < hi:
+            if abs(step) <= _XATOL:
+                return s + step
+            s += step
+        else:
+            s = 0.5 * (lo + hi)
+    return s
 
 
 def threshold_scan_subcritical(p, u_c, n_list):
@@ -670,14 +746,17 @@ def threshold_scan_subcritical(p, u_c, n_list):
     For each n the truncated bubble U_n is superposed with the valley
     profile u_c, which must lie on the mass sphere c = p.c (to 1e-6
     relative).  W(t) is the mass-c dilation of u_c + t U_n, and the sup
-    over t of its energy is compared against Phi(u_c) + S^(N/2)/N.  The sup
+    over t of its energy is compared against Phi(u_c) + S^(N/2)/N.  u_c is
+    interpolated once (PCHIP) and resampled onto each bubble grid.  The sup
     is taken on 25 log-spaced weights in [1e-3, 1e3], evaluated in one
-    array call of the cross-term route, then refined by one bounded Brent
-    maximization in s = log t over the two cells around the grid argmax.
-    An n whose grid argmax is an end of that range has no interior maximum
-    in it and gives a diagnostic non-passing row (sup_t NaN, the reason in
-    `note`).  Records are returned in n order together
-    with the first passing n (if any).
+    array call of the cross-term route, then refined by safeguarded Newton
+    in s = log t inside the two cells around the grid argmax
+    (`_argmax_in_log_t`, with the exact slopes of `_log_t_slopes`), and
+    the energy at the refined t is compared with the grid maximum, the
+    larger of the two kept.  An n whose grid argmax is an end of that range
+    has no interior maximum in it and gives a diagnostic non-passing row
+    (sup_t NaN, the reason in `note`).  Records are returned in n order
+    together with the first passing n (if any).
     """
     if not p.mass_subcritical:
         raise HypothesisError("the superposition scan applies below q = 2+4/N")
@@ -685,11 +764,12 @@ def threshold_scan_subcritical(p, u_c, n_list):
         raise ParameterError(f"u_c mass {mass(u_c):g} is off the target sphere c = {p.c:g}")
     threshold = energy(u_c, p) + sobolev_constant(p.N).S_pow / p.N
     s_grid = np.log(_T_GRID)
+    resample = _pchip(u_c.grid.nodes, u_c.values)
 
     def row(n):
         R_max = max(u_c.grid.R_max, 2.0)
         g = bubble_grid(p.N, n, R_max, barrier_radii=(1.0, 2.0))
-        uc_g = pchip_resample(u_c, g)
+        uc_g = RadialFunction(g, resample(g.nodes))
         U = truncated_instanton(p.N, n, g)
         cross = _build_cross(p, uc_g, U, c=p.c)
 
@@ -703,11 +783,9 @@ def threshold_scan_subcritical(p, u_c, n_list):
                 f"the energy of W(t) peaks at the end t = {_T_GRID[k]:g} of "
                 f"[{_T_GRID[0]:g}, {_T_GRID[-1]:g}]; no interior maximum"
             )
-        res = minimize_scalar(
-            lambda s: -phi(np.exp(s)), bounds=(s_grid[k - 1], s_grid[k + 1]),
-            method="bounded", options={"xatol": 1e-10},
-        )
-        t_best, sup_v = float(np.exp(res.x)), -float(res.fun)
+        s_best = _argmax_in_log_t(p, cross, s_grid[k - 1], s_grid[k], s_grid[k + 1])
+        t_best = float(np.exp(s_best))
+        sup_v = float(phi(t_best))
         if vals[k] > sup_v:
             t_best, sup_v = float(_T_GRID[k]), float(vals[k])
         return _superposition_bundle(p, cross, t_best), sup_v, t_best, ""

@@ -34,7 +34,7 @@ from .errors import HypothesisError, ParameterError
 from .grid import (
     RadialFunction,
     _dot,
-    _pchip_values,
+    _pchip,
     _stiff_apply,
     grad_norm_sq,
     mass,
@@ -256,7 +256,7 @@ def fiber_scale(u, t):
     if not t > 0.0:
         raise ParameterError(f"dilation parameter must be positive, got {t}")
     g = u.grid
-    vals = _pchip_values(g.nodes, u.values, t * g.nodes)
+    vals = _pchip(g.nodes, u.values)(t * g.nodes)
     return RadialFunction(g, t ** (g.N / 2.0) * vals)
 
 

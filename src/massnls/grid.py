@@ -164,28 +164,38 @@ def _volume_weights(N, nodes, group_bounds):
 
     ``group_bounds`` is the increasing list of node indices delimiting the
     smooth groups (always starts at 0 and ends at M).  Pairing never depends
-    on the weights: pairs start at g0, g0+2, ... and a group with an odd
-    number of cells ends in one hat cell, so every node receives at most two
-    contributions and the order of the sums does not matter.
+    on the weights: pairs start at g0, g0+2, ... in each group and a group
+    with an odd number of cells ends in one hat cell.  All groups are done
+    in one pass: one pair-weight call over the pair starts of every group
+    and one hat call over both cells of every degraded pair.  The odd ends
+    take scalar hat calls, because numpy rounds an array power (the h^3 of
+    `_moments`) differently from a scalar one in some 5 % of cells; the
+    weights then equal those of a group-by-group loop to the bit.  A node
+    is the middle of at most one pair, or else the end of at most one pair
+    or odd-end cell and the start of at most one pair or odd-end cell, so it
+    receives at most two contributions.  Two floats add to the same bits in
+    either order, so the order of the scatters does not matter.
     """
     w = np.zeros_like(nodes)
-    for g0, g1 in zip(group_bounds[:-1], group_bounds[1:]):
-        k = np.arange(g0, g1 - 1, 2)
-        a, b, c = nodes[k], nodes[k + 1], nodes[k + 2]
-        wa, wb, wc = _pair_weights(N, a, b, c)
-        # a negative parabolic weight degrades the pair to hat weights on
-        # both of its cells
-        bad = (wa < 0.0) | (wb < 0.0) | (wc < 0.0)
-        ha0, hb0 = _hat_weights(N, a[bad], b[bad])
-        ha1, hb1 = _hat_weights(N, b[bad], c[bad])
-        wa[bad], wb[bad], wc[bad] = ha0, hb0 + ha1, hb1
-        w[k] += wa
-        w[k + 1] += wb
-        w[k + 2] += wc
-        if (g1 - g0) % 2:
-            ha, hb = _hat_weights(N, nodes[g1 - 1], nodes[g1])
-            w[g1 - 1] += ha
-            w[g1] += hb
+    gb = np.asarray(group_bounds)
+    k = np.concatenate([np.arange(g0, g1 - 1, 2) for g0, g1 in zip(gb[:-1], gb[1:])])
+    a, b, c = nodes[k], nodes[k + 1], nodes[k + 2]
+    wa, wb, wc = _pair_weights(N, a, b, c)
+    # a negative parabolic weight degrades the pair to hat weights on both
+    # of its cells
+    bad = (wa < 0.0) | (wb < 0.0) | (wc < 0.0)
+    nbad = int(np.count_nonzero(bad))
+    if nbad:
+        ha, hb = _hat_weights(N, np.concatenate([a[bad], b[bad]]),
+                              np.concatenate([b[bad], c[bad]]))
+        wa[bad], wb[bad], wc[bad] = ha[:nbad], hb[:nbad] + ha[nbad:], hb[nbad:]
+    w[k] += wa
+    w[k + 1] += wb
+    w[k + 2] += wc
+    for j in gb[1:][np.diff(gb) % 2 == 1]:
+        ha, hb = _hat_weights(N, nodes[j - 1], nodes[j])
+        w[j - 1] += ha
+        w[j] += hb
     return w
 
 
@@ -459,22 +469,25 @@ def tail_fraction(u):
     return _dot(g.weights[sel], np.abs(u.values[sel]) ** 2) / total
 
 
-def _pchip_values(nodes, values, radii):
-    """Monotone-cubic interpolant of (nodes, values) at radii, zero outside."""
+def _pchip(nodes, values):
+    """The monotone-cubic interpolant of (nodes, values) as a function of the
+    radii, zero outside [nodes[0], nodes[-1]]."""
     from scipy.interpolate import PchipInterpolator
 
     # flat zero tails trip harmless overflow warnings in the slope formula
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         interp = PchipInterpolator(nodes, values, extrapolate=False)
-    vals = interp(radii)
-    return np.where(np.isnan(vals), 0.0, vals)
+
+    def evaluate(radii):
+        vals = interp(radii)
+        return np.where(np.isnan(vals), 0.0, vals)
+
+    return evaluate
 
 
 def pchip_resample(u, target_grid):
     """Monotone-cubic resampling of u onto another grid (zero outside)."""
-    return RadialFunction(
-        target_grid, _pchip_values(u.grid.nodes, u.values, target_grid.nodes)
-    )
+    return RadialFunction(target_grid, _pchip(u.grid.nodes, u.values)(target_grid.nodes))
 
 
 # ----------------------------------------------------------------------------

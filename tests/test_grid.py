@@ -19,8 +19,10 @@ from massnls import (
     write_csv,
 )
 from massnls.bubbles import (
+    _normalized_grid,
     bubble_grid,
     mass_normalized_instanton,
+    solve_cutoff_radius,
     truncated_instanton,
 )
 from massnls.functionals import problem
@@ -28,9 +30,12 @@ from massnls.grid import (
     _DOT_BLOCK,
     _deriv_apply,
     _dot,
+    _hat_weights,
     _moments,
+    _pair_weights,
     _row_dots,
     _stiff_apply,
+    _volume_weights,
     pchip_resample,
     sphere_area,
     tail_fraction,
@@ -215,6 +220,54 @@ def test_weights_match_exact_rational_rule():
     for N in range(3, 7):
         nodes = np.concatenate([[0.0], 900.0 + np.cumsum(rng.uniform(0.02, 0.06, 40))])
         _assert_weights_match_exact(N, nodes)
+
+
+def _volume_weights_by_group(N, nodes, group_bounds):
+    """The quadrature weights group by group, two hat calls per group and a
+    scalar hat at an odd end: the oracle of the one-pass `_volume_weights`."""
+    w = np.zeros_like(nodes)
+    for g0, g1 in zip(group_bounds[:-1], group_bounds[1:]):
+        k = np.arange(g0, g1 - 1, 2)
+        a, b, c = nodes[k], nodes[k + 1], nodes[k + 2]
+        wa, wb, wc = _pair_weights(N, a, b, c)
+        bad = (wa < 0.0) | (wb < 0.0) | (wc < 0.0)
+        ha0, hb0 = _hat_weights(N, a[bad], b[bad])
+        ha1, hb1 = _hat_weights(N, b[bad], c[bad])
+        wa[bad], wb[bad], wc[bad] = ha0, hb0 + ha1, hb1
+        w[k] += wa
+        w[k + 1] += wb
+        w[k + 2] += wc
+        if (g1 - g0) % 2:
+            ha, hb = _hat_weights(N, nodes[g1 - 1], nodes[g1])
+            w[g1 - 1] += ha
+            w[g1] += hb
+    return w
+
+
+@pytest.mark.parametrize("kind, N, size", [
+    *(("bubble", N, n) for N in range(3, 7) for n in (8, 32, 256)),
+    ("normalized", 3, 2 ** 14),
+    ("normalized", 3, 2 ** 16),
+    *((grading, 3 + M % 4, M) for M in (4, 5, 3000, 3001) for grading in ("uniform", "graded")),
+])
+def test_volume_weights_equal_the_group_loop_bit_for_bit(kind, N, size):
+    # 20 random group layouts per node set: up to five random bounds, each
+    # followed by a second one or two nodes on, so one- and two-cell groups
+    # occur beside the long ones
+    if kind == "bubble":
+        nodes = bubble_grid(N, size, 60.0, barrier_radii=(1.0, 2.0)).nodes
+    elif kind == "normalized":
+        nodes = _normalized_grid(N, size, solve_cutoff_radius(N, 1.0, size)).nodes
+    else:
+        nodes = make_grid(N, 60.0, size, kind).nodes
+    rng = np.random.default_rng(1000 * N + size)
+    M = len(nodes) - 1
+    for _ in range(20):
+        picks = rng.integers(1, M, int(rng.integers(0, 6)))
+        picks = np.concatenate([picks, picks + rng.integers(1, 3, picks.size)])
+        bounds = [0, *sorted(set(int(j) for j in picks if 0 < j < M)), M]
+        want = _volume_weights_by_group(N, nodes, bounds)
+        assert np.array_equal(_volume_weights(N, nodes, bounds), want)
 
 
 @pytest.mark.parametrize("N", [3, 4, 5])

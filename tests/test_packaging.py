@@ -52,3 +52,33 @@ def test_importing_the_package_leaves_scipy_integrate_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
                          capture_output=True, text=True, timeout=120, check=True)
     assert out.stdout.split() == []
+
+
+def _module_level_imports(tree):
+    """Dotted names a module imports outside its functions and classes."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if node.level == 0:
+                yield node.module
+                yield from (f"{node.module}.{alias.name}" for alias in node.names)
+        else:
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def test_only_manifold_imports_scipy_optimize_at_module_level():
+    # bubbles imports brentq inside solve_cutoff_radius, its one user;
+    # manifold's module-level brentq goes once its fiber roots take Newton
+    # in log t, and this set is then empty
+    found = {
+        path.name
+        for path in (ROOT / "src" / "massnls").rglob("*.py")
+        if any(name == "scipy.optimize" or name.startswith("scipy.optimize.")
+               for name in _module_level_imports(ast.parse(path.read_text())))
+    }
+    assert found == {"manifold.py"}
