@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import asdict, astuple
 from pathlib import Path
 
 import numpy as np
@@ -22,10 +23,27 @@ from massnls.errors import (
     ParameterError,
     ResolutionError,
 )
-from massnls.functionals import energy, fiber_energy, normalize_mass, problem, stiff_bundle
-from massnls.grid import RadialFunction, make_grid, mass, norms, pchip_resample, sphere_area
+from massnls.functionals import (
+    NormBundle,
+    energy,
+    fiber_energy,
+    normalize_mass,
+    problem,
+    stiff_bundle,
+)
+from massnls.grid import (
+    RadialFunction,
+    grid_from_nodes,
+    make_grid,
+    mass,
+    norms,
+    pchip_resample,
+    sphere_area,
+)
+from massnls.manifold import manifold_projection
 
 from csr_oracle import stiffness_csr
+from scan_oracle import grid_row, grid_scan
 
 
 def _stiff(u):
@@ -33,9 +51,11 @@ def _stiff(u):
 
 
 def _child(code, **env):
-    """Run code in a fresh interpreter that imports massnls from this tree,
-    with env added to its environment only; return its stdout as JSON."""
-    path = [str(Path(B.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    """Run code in a fresh interpreter that imports massnls and the test
+    oracles from this tree, with env added to its environment only; return
+    its stdout as JSON."""
+    path = [str(Path(B.__file__).resolve().parents[1]), str(Path(__file__).resolve().parent),
+            os.environ.get("PYTHONPATH")]
     env = {**os.environ, **env, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=300, check=True)
@@ -683,13 +703,14 @@ def test_critical_scan_passes_far_beyond_existence_bound():
 
 
 def test_critical_scan_does_not_depend_on_the_blas_thread_count():
-    # grids of 8017-19054 nodes, past the 10000 elements above which
-    # OpenBLAS runs a dot product on its thread pool
+    # the scan itself builds no grid; its oracle route builds grids of
+    # 8017-19054 nodes, past the 10000 elements above which OpenBLAS runs a
+    # dot product on its thread pool
     code = """if True:
         import json
-        from massnls.bubbles import threshold_scan_critical
         from massnls.functionals import problem
-        res = threshold_scan_critical(problem(3, 1.0, 1.0, 4.0), [2**14, 2**15, 2**16])
+        from scan_oracle import grid_scan
+        res = grid_scan(problem(3, 1.0, 1.0, 4.0), [2**14, 2**15, 2**16])
         fields = ("mass", "grad_sq", "lq", "lcrit", "sup_t", "t_at_sup")
         print(json.dumps([[float(getattr(r, f)).hex() for f in fields]
                           for r in res.records]))
@@ -725,17 +746,18 @@ def test_path_energies_do_not_depend_on_the_blas_thread_count():
 
 @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs a second core to spill onto")
 def test_critical_scan_stays_on_one_core():
-    # process CPU time counts every thread, so BLAS threads would show as
-    # CPU time near twice the wall time
+    # on the oracle route of the critical scan, whose grids pass OpenBLAS's
+    # threading cut: process CPU time counts every thread, so BLAS threads
+    # would show as CPU time near twice the wall time
     code = """if True:
         import json, time
-        from massnls.bubbles import threshold_scan_critical
         from massnls.functionals import problem
+        from scan_oracle import grid_scan
         p, ns = problem(3, 1.0, 1.0, 4.0), [2**k for k in range(12, 17)]
-        threshold_scan_critical(p, ns)  # warm-up: lazy imports and caches
+        grid_scan(p, ns)  # warm-up: lazy imports and caches
         w0, c0 = time.perf_counter(), time.process_time()
         for _ in range(10):
-            threshold_scan_critical(p, ns)
+            grid_scan(p, ns)
         print(json.dumps([time.perf_counter() - w0, time.process_time() - c0]))
     """
     wall, cpu = _child(code)
@@ -763,6 +785,86 @@ def test_critical_scan_row_without_fiber_maximum(monkeypatch):
     assert np.isnan(r.sup_t) and np.isnan(r.t_at_sup)
     assert r.note == "no root in this test"
     assert r.mass == pytest.approx(1.0, rel=1e-10)
+
+
+def _bisected(g):
+    """g with every cell halved; its nodes, the kink among them, stay nodes."""
+    nodes = np.empty(2 * g.nodes.size - 1)
+    nodes[0::2] = g.nodes
+    nodes[1::2] = 0.5 * (g.nodes[:-1] + g.nodes[1:])
+    return grid_from_nodes(g.N, nodes, barrier_radii=g.barriers)
+
+
+def _crit4():
+    return problem(4, 1.0, 0.9 * thresholds(4, 3.0, 1.0, 1.0).alpha_Nq, 3.0)
+
+
+def _model_bundle(p, n):
+    mod = B.normalized_norms_model(p.N, p.c, n)
+    return NormBundle(mod["mass"], mod["grad_sq"], mod["lq"](p.q), mod["lcrit"])
+
+
+@pytest.mark.parametrize("case", ["crit4", "crit3"])
+def test_critical_scan_rows_are_the_limit_of_the_grid_route(case):
+    # the grid route's P1 grad_sq converges to the model at order 2: each
+    # bisection of every cell of the family grid quarters its gap
+    p, n = (_crit4(), 32) if case == "crit4" else (problem(3, 1.0, 1.0, 4.0), 2 ** 14)
+    (r,) = B.threshold_scan_critical(p, [n]).records
+    model = _model_bundle(p, n)
+    g = B._normalized_grid(p.N, n, B.solve_cutoff_radius(p.N, p.c, n))
+    gaps = []
+    for k in range(3):
+        nb, sup_t, _, _ = grid_row(p, n, g)
+        gaps.append(nb.grad_sq - model.grad_sq)
+        assert sup_t > r.sup_t
+        if k == 0:
+            # measured: mass 1.3e-11 (crit4) and 6.5e-10 (crit3); lq and
+            # lcrit at most 1.5e-11
+            assert nb.mass == pytest.approx(model.mass, rel=1e-9, abs=0.0)
+            assert nb.lq == pytest.approx(model.lq, rel=2e-11, abs=0.0)
+            assert nb.lcrit == pytest.approx(model.lcrit, rel=2e-11, abs=0.0)
+        g = _bisected(g)
+    assert gaps[0] > 0.0
+    for coarse, fine in zip(gaps, gaps[1:]):
+        assert 3.9 <= coarse / fine <= 4.1
+
+
+def test_critical_scan_passes_where_the_grid_route_fails():
+    # the margin S^(3/2)/3 - sup halves with each doubling of n, while the
+    # grid route's error in sup stays near 2.2e-6
+    p = problem(3, 1.0, 1.0, 4.0)
+    ns = [2 ** 22, 2 ** 24]
+    res = B.threshold_scan_critical(p, ns)
+    assert [r.passed for r in res.records] == [True, True]
+    assert all(0.0 < res.threshold - r.sup_t < 2e-6 for r in res.records)
+    assert all(r.sup_t > res.threshold for r in grid_scan(p, ns).records)
+
+
+def test_critical_scan_builds_no_grid(monkeypatch):
+    def no_grid(*args, **kwargs):
+        raise AssertionError("the critical scan built a grid")
+
+    monkeypatch.setattr(B, "mass_normalized_instanton", no_grid)
+    monkeypatch.setattr(B, "_normalized_grid", no_grid)
+    p = _crit4()
+    res = B.threshold_scan_critical(p, [8, 16, 32, 64, 128, 256])
+    assert res.first_pass == 32
+    for r in res.records[2:]:
+        model = _model_bundle(p, r.n)
+        assert (r.mass, r.grad_sq, r.lq, r.lcrit) == astuple(model)
+        pt = manifold_projection(model, p)
+        assert (r.sup_t, r.t_at_sup) == (pt.value, pt.t)
+
+
+def test_scan_result_as_dict_is_strict_json():
+    res = B.threshold_scan_critical(_crit4(), [8, 16, 32, 64, 128, 256])
+    back = json.loads(json.dumps(res.as_dict(), allow_nan=False))
+    assert back["threshold"] == res.threshold and back["first_pass"] == 32
+    for d, r in zip(back["records"], res.records):
+        if r.n < 32:  # the family does not exist: a diagnostic row
+            assert d["sup_t"] is None and d["mass"] is None and d["note"] == r.note
+        else:
+            assert d == asdict(r)
 
 
 def test_critical_scan_guards():
