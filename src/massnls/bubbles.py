@@ -11,9 +11,12 @@ value at the kink rho down to zero at the support end R, zero beyond.
   R_n > rho at which the total mass is exactly c.
 
 All four norms of the ramped profile have closed forms obtained by
-splitting core (substitution s = n r) from ramp (polynomial moments); these
-model values are computed here independently of the grid quadrature and
-the two routes are compared in the tests.  The superposition W(t) dilates
+splitting core (substitution s = n r) from ramp.  Each ramp norm is a
+polynomial in the ramp width w = R - rho with positive coefficients, so it
+is summed without cancellation however narrow or wide the ramp, and the
+mass equation that fixes R_n has one root that Newton reaches from above.
+These model values are computed here independently of the grid quadrature
+and the two routes are compared in the tests.  The superposition W(t) dilates
 u + t*U by the factor tau = ||u + t U||_2 / sqrt(c), which restores mass c
 while leaving the gradient and critical norms invariant.
 """
@@ -28,6 +31,7 @@ import numpy as np
 from .constants import instanton_amplitude, sobolev_constant
 from .errors import (
     BracketError,
+    ConvergenceError,
     HypothesisError,
     NoCriticalPointError,
     ParameterError,
@@ -226,23 +230,6 @@ def _xi_mass(N, x):
     return _core_integral(N - 1, N - 2, x)
 
 
-def _annulus_power(N, k, a, R):
-    """int_a^R (R-r)^k r^(N-1) dr for any k > -1.
-
-    Substituting x = R - r and expanding (R-x)^(N-1) binomially gives a
-    finite sum in powers of the annulus width.  Unlike the naive expansion
-    in powers of R this stays accurate when R - a << R, which is exactly
-    where the cutoff-radius root finder probes.
-    """
-    w = R - a
-    if w <= 0.0:
-        return 0.0
-    total = 0.0
-    for i in range(N):
-        total += math.comb(N - 1, i) * (-1.0) ** i * R ** (N - 1 - i) * w ** i / (k + i + 1.0)
-    return w ** (k + 1.0) * total
-
-
 def _edge_sq(N, n, rho):
     """(u(rho)/A_N)^2 = (n/(1+(n rho)^2))^(N-2), the squared kink value."""
     return (n / (1.0 + (n * rho) ** 2)) ** (N - 2)
@@ -253,17 +240,41 @@ def _core_mass(N, n, x):
     return sphere_area(N) * instanton_amplitude(N) ** 2 * _xi_mass(N, x) / n ** 2
 
 
+def _ramp_coeffs(N, rho, k):
+    """c_j with int_rho^R ((R-r)/w)^k r^(N-1) dr = sum_j c_j w^(j+1), w = R - rho.
+
+    Substituting y = r - rho and expanding (rho+y)^(N-1) binomially gives
+    c_j = C(N-1, j) rho^(N-1-j) B(j+1, k+1), every one positive, with
+    B(1, k+1) = 1/(k+1) and B(j+1, k+1) = B(j, k+1) j/(k+j+1).
+    """
+    coeffs, b = [], 1.0 / (k + 1.0)
+    for j in range(N):
+        coeffs.append(math.comb(N - 1, j) * rho ** (N - 1 - j) * b)
+        b *= (j + 1) / (k + j + 2.0)
+    return coeffs
+
+
+def _ramp_poly(coeffs, w):
+    """P(w) = sum_j coeffs[j] w^(j+1) and P'(w) by Horner; with positive
+    coefficients no term cancels."""
+    p = dp = 0.0
+    for a in reversed(coeffs):
+        dp = dp * w + p
+        p = p * w + a
+    return p * w, p + w * dp
+
+
 def _ramp_moment(N, n, rho, R, k):
     """omega_N int_rho^R u^k r^(N-1) dr over the ramp of the ramped profile."""
     return (sphere_area(N) * instanton_amplitude(N) ** k * _edge_sq(N, n, rho) ** (k / 2.0)
-            * _annulus_power(N, k, rho, R) / (R - rho) ** k)
+            * _ramp_poly(_ramp_coeffs(N, rho, k), R - rho)[0])
 
 
 def _ramped_norms(N, n, rho, R):
     """Exact (mass, grad_sq, lcrit, lq) of the ramped profile, lq(q) a callable.
 
     Core pieces reduce to one-dimensional integrals in s = n r; ramp pieces
-    are polynomial moments.  The gradient and critical norms are assembled
+    are positive polynomials in the ramp width R - rho (`_ramp_coeffs`).  The gradient and critical norms are assembled
     as S^(N/2) minus the core's tail plus the ramp, so no cancellation
     occurs.
     """
@@ -275,10 +286,8 @@ def _ramped_norms(N, n, rho, R):
 
     mass_v = _core_mass(N, n, x) + _ramp_moment(N, n, rho, R, 2)
     # core tails: int_x^inf s^(N+1) (1+s^2)^(-N) ds, then with s^(N-1)
-    grad_v = S_pow + om * A ** 2 * (
-        -((N - 2) ** 2) * _core_integral(N - 3, N, 1.0 / x)
-        + _edge_sq(N, n, rho) * (R ** N - rho ** N) / (N * (R - rho) ** 2)
-    )
+    grad_v = (S_pow - om * A ** 2 * (N - 2) ** 2 * _core_integral(N - 3, N, 1.0 / x)
+              + A ** 2 * _edge_sq(N, n, rho) / (R - rho) ** 2 * _ramp_moment(N, n, rho, R, 0))
     crit_v = (S_pow - om * A ** two_star * _core_integral(N - 1, N, 1.0 / x)
               + _ramp_moment(N, n, rho, R, two_star))
 
@@ -358,44 +367,47 @@ def normalized_family_min_n(N, c):
     return hi
 
 
+# Newton steps of the cutoff solve: 2-7 were taken over N = 3..12, c from
+# 1e-2 to 1e6 and every admissible power-of-two n up to 2^30
+_NEWTON_STEPS = 20
+
+
 def solve_cutoff_radius(N, c, n):
     """Radius R_n > n^(2/3) at which the ramped profile carries mass c.
 
-    Solves core + ramp(R) = c, the closed-form mass equation, by bracketed
-    root finding.  The ramp contributes strictly positive mass, so no
-    cutoff exists when the core alone already reaches c; that case raises
-    BracketError rather than returning a spurious near-degenerate root.
+    The ramp's mass is P(w) = sum_j a_j w^(j+1) in the ramp width
+    w = R - n^(2/3), with every a_j > 0 (`_ramp_coeffs`).  So P is convex
+    and increasing from P(0) = 0, and core + P(w) = c has exactly one root
+    when the core alone carries less than c; no bracket is needed.  Each
+    single-term root (target/a_j)^(1/(j+1)) lies above that root, and
+    Newton from the smallest of them decreases monotonically to it; a step
+    that no longer lowers w by more than 4 ulps ends it.  When the core
+    already reaches c no cutoff exists, and that case raises BracketError
+    rather than returning a spurious near-degenerate root.
     """
-    from scipy.optimize import brentq
-
     if c <= 0.0:
         raise ParameterError(f"target mass must be positive, got {c}")
     rho = float(n) ** (2.0 / 3.0)
-    core = _core_mass(N, n, n * rho)
+    core = float(_core_mass(N, n, n * rho))
     if core >= c:
         raise BracketError(
             f"instanton core out to n^(2/3) already carries mass {core:.6g} "
             f">= c = {c:g} at n = {n}; no cutoff radius exists "
             f"(smallest admissible n is {normalized_family_min_n(N, c)})"
         )
-    f = lambda R: core + _ramp_moment(N, n, rho, R, 2) - c
-    lo = rho * (1.0 + 1e-6)
-    shrink = 0
-    while f(lo) >= 0.0 and shrink < 4:
-        lo = rho * (1.0 + (lo / rho - 1.0) * 1e-3)
-        shrink += 1
-    hi = max(cutoff_radius_asymptote(N, c, n), 2.0 * rho)
-    grow = 0
-    while f(hi) < 0.0 and grow < 60:
-        hi *= 2.0
-        grow += 1
-    flo, fhi = f(lo), f(hi)
-    if flo >= 0.0 or fhi < 0.0:
-        raise BracketError(
-            f"no sign change for the mass equation on [{lo:g}, {hi:g}]: "
-            f"endpoint residuals ({flo:g}, {fhi:g}); n = {n}, c = {c}"
-        )
-    return float(brentq(f, lo, hi, xtol=1e-13 * hi, rtol=4 * np.finfo(float).eps))
+    coeffs = _ramp_coeffs(N, rho, 2)
+    target = (c - core) / (sphere_area(N) * instanton_amplitude(N) ** 2 * _edge_sq(N, n, rho))
+    w = min((target / a) ** (1.0 / (j + 1)) for j, a in enumerate(coeffs))
+    for _ in range(_NEWTON_STEPS):
+        P, dP = _ramp_poly(coeffs, w)
+        step = (P - target) / dP
+        w -= step
+        if step <= 4.0 * math.ulp(w):
+            return rho + w
+    raise ConvergenceError(
+        f"cutoff radius: Newton took {_NEWTON_STEPS} steps without settling "
+        f"(n = {n}, c = {c}, w = {w!r})"
+    )
 
 
 # ----------------------------------------------------------------------------
@@ -800,11 +812,7 @@ def threshold_scan_subcritical(p, u_c, n_list):
         uc_g = RadialFunction(g, resample(g.nodes))
         U = truncated_instanton(p.N, n, g)
         cross = _build_cross(p, uc_g, U, c=p.c)
-
-        def phi(t):
-            return fiber_energy(_superposition_bundle(p, cross, t), p, 1.0)
-
-        vals = phi(_T_GRID)
+        vals = fiber_energy(_superposition_bundle(p, cross, _T_GRID), p, 1.0)
         k = int(np.argmax(vals))
         if k in (0, len(_T_GRID) - 1):
             return None, np.nan, np.nan, (
@@ -813,10 +821,14 @@ def threshold_scan_subcritical(p, u_c, n_list):
             )
         s_best = _argmax_in_log_t(p, cross, s_grid[k - 1], s_grid[k], s_grid[k + 1])
         t_best = float(np.exp(s_best))
-        sup_v = float(phi(t_best))
+        nb = _superposition_bundle(p, cross, t_best)
+        sup_v = float(fiber_energy(nb, p, 1.0))
         if vals[k] > sup_v:
+            # a scalar bundle at the grid point, not a row of the array one:
+            # numpy may round an array power differently from a scalar one
             t_best, sup_v = float(_T_GRID[k]), float(vals[k])
-        return _superposition_bundle(p, cross, t_best), sup_v, t_best, ""
+            nb = _superposition_bundle(p, cross, t_best)
+        return nb, sup_v, t_best, ""
 
     return _scan(n_list, threshold, row)
 

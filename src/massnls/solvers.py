@@ -26,6 +26,7 @@ when a full step fails to lower a residual already at the stopping tolerance
 stopped and counts the work they did.
 """
 
+import math
 from dataclasses import dataclass, fields
 from typing import Callable, NamedTuple
 
@@ -572,6 +573,18 @@ class MountainPassReport:
     t_hat: float               # first t with Phi < 2 * base_level
     mass_err_max: float
 
+    def as_dict(self):
+        """Every field as plain data that serializes to strict JSON: the
+        arrays as lists, a NaN as None."""
+        def plain(v):
+            return None if math.isnan(v) else v
+
+        out = {}
+        for f in fields(self):
+            v = getattr(self, f.name)
+            out[f.name] = [plain(x) for x in v.tolist()] if isinstance(v, np.ndarray) else plain(v)
+        return out
+
 
 def mountain_pass_path(p, u_minus, bubble, t_grid=None):
     """The dilation path t -> W_t from the local minimizer toward collapse.
@@ -593,7 +606,9 @@ def mountain_pass_path(p, u_minus, bubble, t_grid=None):
     grid or stiffness form is built, and the energies are one vectorised
     `fiber_energy`.  mass_err_max is the largest relative gap between the
     quadratic mass that sets the dilation and the direct quadrature of
-    (u_minus + t * bubble)^2.  Weights must be finite and nonnegative.
+    (u_minus + t * bubble)^2.  A t_grid passed in must be a nonempty 1-D
+    array of finite, nonnegative and strictly increasing weights; 0 is
+    prepended when it does not start there.
     """
     if not p.mass_subcritical:
         raise HypothesisError("the mountain-pass path lives below q = 2 + 4/N")
@@ -605,8 +620,14 @@ def mountain_pass_path(p, u_minus, bubble, t_grid=None):
         t_grid = np.concatenate([[0.0], np.geomspace(1e-3, 1e3, 400)])
     else:
         t_grid = np.asarray(t_grid, dtype=float)
+        if t_grid.ndim != 1 or t_grid.size == 0:
+            raise ParameterError(
+                f"t_grid must be a nonempty 1-D array of weights, got shape {t_grid.shape}"
+            )
         if not np.all(np.isfinite(t_grid) & (t_grid >= 0.0)):
             raise ParameterError("superposition weights must be finite and nonnegative")
+        if not np.all(np.diff(t_grid) > 0.0):
+            raise ParameterError("superposition weights must be strictly increasing")
         if t_grid[0] != 0.0:
             t_grid = np.concatenate([[0.0], t_grid])
 

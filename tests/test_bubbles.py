@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from dataclasses import asdict, astuple
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,7 @@ from massnls import bubbles as B
 from massnls.constants import instanton_amplitude, sobolev_constant, thresholds
 from massnls.errors import (
     BracketError,
+    ConvergenceError,
     HypothesisError,
     NoCriticalPointError,
     ParameterError,
@@ -43,7 +45,7 @@ from massnls.grid import (
 from massnls.manifold import manifold_projection
 
 from csr_oracle import stiffness_csr
-from scan_oracle import grid_row, grid_scan
+from scan_oracle import cutoff_radius_by_brentq, grid_row, grid_scan
 
 
 def _stiff(u):
@@ -152,18 +154,24 @@ def test_normalized_profile_shape():
 
 
 # ----------------------------------------------------------------------------
-# annulus moments
+# ramp moments
 # ----------------------------------------------------------------------------
+
+def _annulus(N, k, a, R):
+    """int_a^R (R-r)^k r^(N-1) dr, from the ramp polynomial in w = R - a."""
+    w = R - a
+    return w ** k * B._ramp_poly(B._ramp_coeffs(N, a, k), w)[0]
+
 
 def test_annulus_moment_matches_quadrature():
     for N, k, a, R in [(3, 2, 1.0, 2.0), (4, 2.5, 1.0, 2.0), (5, 3.75, 0.3, 7.0)]:
         direct = quad(lambda r: (R - r) ** k * r ** (N - 1), a, R,
                       epsabs=0.0, epsrel=1e-13)[0]
-        assert B._annulus_power(N, k, a, R) == pytest.approx(direct, rel=1e-10)
+        assert _annulus(N, k, a, R) == pytest.approx(direct, rel=1e-10)
 
 
 def test_annulus_moment_known_value():
-    assert B._annulus_power(3, 2, 1.0, 2.0) == pytest.approx(8.0 / 15.0, rel=1e-14)
+    assert _annulus(3, 2, 1.0, 2.0) == pytest.approx(8.0 / 15.0, rel=1e-14)
 
 
 def test_annulus_moment_narrow_band_stable():
@@ -172,7 +180,39 @@ def test_annulus_moment_narrow_band_stable():
     R = a * (1.0 + 1e-9)
     w = R - a
     lead = a ** 3 * w ** 3 / 3.0  # rho^(N-1) w^(k+1)/(k+1) at N=4, k=2
-    assert B._annulus_power(4, 2, a, R) == pytest.approx(lead, rel=1e-6)
+    assert _annulus(4, 2, a, R) == pytest.approx(lead, rel=1e-6)
+
+
+# the kink and support end of the N = 3, c = 1 family at its existence bound
+# n = 10312, where the ramp is 7.3e-5 of R wide
+_EDGE_RHO, _EDGE_R = 10312.0 ** (2.0 / 3.0), 473.7986111999761
+
+
+@pytest.mark.parametrize("N, k, a, R", [
+    (8, 2, 1.0, 1e4), (5, 4, 0.3, 7.0), (6, 2, 1.0, 1e3),  # wide bands
+    (3, 2, 1.0, 2.0), (4, 2, 100.0, 100.0 * (1.0 + 1e-9)), (6, 0, 645.0, 1e4),
+    # k = 0 is (R^N - rho^N)/N, the gradient's ramp term up to a factor
+    (3, 0, _EDGE_RHO, _EDGE_R), (3, 2, _EDGE_RHO, _EDGE_R),
+])
+def test_annulus_moment_is_exact_for_integer_powers(N, k, a, R):
+    # the exact integral at the float ends: (R-r)^k expanded in powers of r
+    a_, R_ = Fraction(a), Fraction(R)
+    exact = sum(math.comb(k, i) * (-R_) ** (k - i) * (-1) ** k
+                * (R_ ** (N + i) - a_ ** (N + i)) / (N + i) for i in range(k + 1))
+    assert abs(Fraction(_annulus(N, k, a, R)) - exact) <= Fraction(1, 10 ** 15) * exact
+
+
+@pytest.mark.parametrize("N, k, a, R", [
+    (5, 10.0 / 3.0, 0.3, 7.0), (8, 8.0 / 3.0, 1.0, 1e4), (5, 10.0 / 3.0, 645.0, 1e4),
+    (3, 2.5, 1.0, 1e3), (4, 3.5, 100.0, 100.0 * (1.0 + 1e-9)), (3, 3.5, _EDGE_RHO, _EDGE_R),
+])
+def test_annulus_moment_is_exact_for_lebesgue_powers(N, k, a, R):
+    # k in {q, 2*}: R^(N+k) times the incomplete beta integral over [a/R, 1]
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        a_, R_, k_ = mpmath.mpf(a), mpmath.mpf(R), mpmath.mpf(k)
+        exact = R_ ** (N + k_) * mpmath.betainc(N, k_ + 1, a_ / R_, 1)
+        assert abs(_annulus(N, k, a, R) - exact) <= 1e-15 * exact
 
 
 # ----------------------------------------------------------------------------
@@ -267,6 +307,41 @@ def test_normalized_family_existence_bounds():
 def test_cutoff_rejects_bad_mass():
     with pytest.raises(ParameterError):
         B.solve_cutoff_radius(3, 0.0, 50)
+
+
+def _cutoff_sweep():
+    """(N, c, n) over N = 3..8 and c in {0.5, 1, 100}: the smallest
+    admissible n, then every admissible power of two up to 2^22, and 2^24
+    at N = 3."""
+    cases = []
+    for N in range(3, 9):
+        for c in (0.5, 1.0, 100.0):
+            n0 = max(2, B.normalized_family_min_n(N, c))
+            ns = [n0] + [2 ** k for k in range(1, 23) if 2 ** k > n0]
+            cases += [(N, c, n) for n in ns + [2 ** 24] * (N == 3)
+                      if B.core_mass(N, n) < c]
+    return cases
+
+
+def test_cutoff_radius_matches_the_brentq_oracle():
+    cases = _cutoff_sweep()
+    assert len(cases) > 300
+    for N, c, n in cases:
+        R = B.solve_cutoff_radius(N, c, n)
+        assert R == pytest.approx(cutoff_radius_by_brentq(N, c, n), rel=1e-12), (N, c, n)
+
+
+def test_cutoff_radius_carries_the_mass_to_the_last_bits():
+    for N, c, n in _cutoff_sweep():
+        got = B.normalized_norms_model(N, c, n)["mass"]
+        assert abs(got - c) <= 1e-15 * c, (N, c, n, got)
+
+
+def test_cutoff_newton_that_does_not_settle_raises(monkeypatch):
+    # 2-7 steps over N = 3..12; a cap of one step cannot settle
+    monkeypatch.setattr(B, "_NEWTON_STEPS", 1)
+    with pytest.raises(ConvergenceError, match="Newton"):
+        B.solve_cutoff_radius(4, 1.0, 64)
 
 
 # ----------------------------------------------------------------------------

@@ -72,9 +72,9 @@ def _module_level_imports(tree):
 
 
 def test_only_manifold_imports_scipy_optimize_at_module_level():
-    # bubbles imports brentq inside solve_cutoff_radius, its one user;
-    # manifold's module-level brentq goes once its fiber roots take Newton
-    # in log t, and this set is then empty
+    # constants imports scipy.optimize inside weinstein_quotient_min, its one
+    # user; manifold's module-level brentq goes once its fiber roots take
+    # Newton in log t, and this set is then empty
     found = {
         path.name
         for path in (ROOT / "src" / "massnls").rglob("*.py")
@@ -82,3 +82,15 @@ def test_only_manifold_imports_scipy_optimize_at_module_level():
                for name in _module_level_imports(ast.parse(path.read_text())))
     }
     assert found == {"manifold.py"}
+
+
+def test_bubbles_imports_no_scipy_optimize_at_any_depth():
+    # the cutoff radius is Newton on a positive polynomial, with no root finder
+    tree = ast.parse((ROOT / "src" / "massnls" / "bubbles.py").read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.update(f"{node.module}.{alias.name}" for alias in node.names)
+    assert not any(name.split(".")[:2] == ["scipy", "optimize"] for name in names)

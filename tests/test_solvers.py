@@ -1,6 +1,7 @@
 """Tests for the constrained solvers: valley minimization, the minimax
 ground state and mountain-pass paths."""
 
+import dataclasses
 import functools
 import json
 import tracemalloc
@@ -755,6 +756,42 @@ def test_path_rejects_bad_weights(t_grid):
     p, rpt, U = _pass_pieces()
     with pytest.raises(ParameterError, match="nonnegative"):
         mountain_pass_path(p, rpt.u, U, t_grid=t_grid)
+
+
+def test_path_rejects_a_t_grid_that_is_not_one_dimensional():
+    p, rpt, U = _pass_pieces()
+    with pytest.raises(ParameterError, match="1-D"):
+        mountain_pass_path(p, rpt.u, U, t_grid=np.geomspace(1e-3, 1e3, 40).reshape(2, 20))
+
+
+def test_path_rejects_an_empty_t_grid():
+    p, rpt, U = _pass_pieces()
+    with pytest.raises(ParameterError, match="nonempty"):
+        mountain_pass_path(p, rpt.u, U, t_grid=[])
+
+
+@pytest.mark.parametrize("t_grid", [[1e3, 1e-3, 1.0], [1e-3, 1.0, 1.0, 1e3]])
+def test_path_rejects_a_t_grid_that_is_not_strictly_increasing(t_grid):
+    # t_hat is the first weight below 2 * base in array order, so on an
+    # unsorted grid it need not be the least such weight
+    p, rpt, U = _pass_pieces()
+    with pytest.raises(ParameterError, match="strictly increasing"):
+        mountain_pass_path(p, rpt.u, U, t_grid=t_grid)
+
+
+def test_path_report_as_dict_is_strict_json():
+    p, rpt, U = _pass_pieces()
+    mp = mountain_pass_path(p, rpt.u, U)
+    d = mp.as_dict()
+    assert set(d) == set(solvers.MountainPassReport.__dataclass_fields__)
+    assert d["t_grid"] == mp.t_grid.tolist()
+    assert d["energies"] == mp.energies.tolist()
+    assert json.loads(json.dumps(d, allow_nan=False)) == d
+    energies = mp.energies.copy()
+    energies[1] = np.nan
+    d = dataclasses.replace(mp, energies=energies, mass_err_max=np.nan).as_dict()
+    assert d["energies"][1] is None and d["mass_err_max"] is None
+    json.dumps(d, allow_nan=False)
 
 
 def test_path_requires_subcritical_exponent():
