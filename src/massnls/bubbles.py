@@ -11,7 +11,11 @@ value at the kink rho down to zero at the support end R, zero beyond.
   R_n > rho at which the total mass is exactly c.
 
 All four norms of the ramped profile have closed forms obtained by
-splitting core (substitution s = n r) from ramp.  Each ramp norm is a
+splitting core (substitution s = n r) from ramp.  Each core piece is an
+incomplete beta function of s^2/(1+s^2), evaluated directly or through its
+complement so that no tail is lost to rounding; the N = 3, 4 mass is
+elementary, and only the L^q core at N = 3, q <= 3, which diverges with
+its cutoff, is integrated by quadrature.  Each ramp norm is a
 polynomial in the ramp width w = R - rho with positive coefficients, so it
 is summed without cancellation however narrow or wide the ramp, and the
 mass equation that fixes R_n has one root that Newton reaches from above.
@@ -24,6 +28,7 @@ while leaving the gradient and critical norms invariant.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -48,6 +53,7 @@ from .functionals import (
 from .grid import (
     RadialFunction,
     RadialGrid,
+    _check_dimension,
     _dot,
     _pchip,
     _row_dots,
@@ -143,6 +149,19 @@ def _normalized_grid(N, n, R_n):
 # the ramped profile
 # ----------------------------------------------------------------------------
 
+def _integer_n(n):
+    """n as an int, or ParameterError unless it is an integer >= 1."""
+    if isinstance(n, numbers.Real) and math.isfinite(n) and n == int(n) >= 1:
+        return int(n)
+    raise ParameterError(f"concentration n must be an integer >= 1, got {n!r}")
+
+
+def _check_positive(what, v):
+    """ParameterError unless v is finite and positive."""
+    if not (math.isfinite(v) and v > 0.0):
+        raise ParameterError(f"{what} must be finite and positive, got {v!r}")
+
+
 def _ramped_values(N, n, rho, R, r):
     """Instanton core on [0, rho), linear ramp to zero on [rho, R), zero beyond."""
     A = instanton_amplitude(N)
@@ -174,6 +193,8 @@ def _ramped_instanton(N, n, rho, R, grid):
 
 def truncated_instanton(N, n, grid):
     """The compactly supported instanton truncation: kink 1, support [0, 2]."""
+    _check_dimension(N)
+    _check_positive("concentration n", n)
     return _ramped_instanton(N, n, 1.0, 2.0, grid)
 
 
@@ -204,11 +225,31 @@ def mass_normalized_instanton(N, c, n, grid=None):
 def _core_integral(m, e, x):
     """J(m, e, x) = int_0^x s^m (1+s^2)^(-e) ds.
 
-    [0, min(x, 1)] is integrated directly and [1, x] in y = log s, where the
-    integrand stays smooth however far x reaches; one rule over [0, x]
-    misses the peak near s = 1 at large x.  Through s = 1/w the tail
-    int_x^inf is J(2e - m - 2, e, 1/x), a finite interval.
+    With a = (m+1)/2 and b = e - a > 0, the substitution u = s^2/(1+s^2)
+    makes J an incomplete beta function: J = B(a, b) I_u(a, b)/2 at
+    u = x^2/(1+x^2).  For x > 1 the complement I_u(a, b) = 1 - I_v(b, a)
+    at v = 1/(1+x^2) is used instead, so 1 - u, which carries the tail
+    int_x^inf, is never rounded.  Through s = 1/w that tail is
+    J(2e - m - 2, e, 1/x), a finite interval.
+
+    b <= 0 occurs only for the L^q core at N = 3, q <= 3.  There J diverges
+    as x -> inf, B(a, b) is undefined, and the recurrence that raises e
+    until b > 0 cancels near q = 3 (it loses 1.2e-9 relative at
+    q = 3 - 1e-6, x = 1).  So that case is integrated: [0, min(x, 1)]
+    directly and [1, x] in y = log s, where the integrand stays smooth
+    however far x reaches; one rule over [0, x] misses the peak near s = 1
+    at large x.
     """
+    a = (m + 1) / 2.0
+    b = e - a
+    if b > 0.0:
+        from scipy.special import beta, betainc
+
+        x2 = x * x
+        if x > 1.0:
+            return 0.5 * float(beta(a, b)) * (1.0 - float(betainc(b, a, 1.0 / (1.0 + x2))))
+        return 0.5 * float(beta(a, b)) * float(betainc(a, b, x2 / (1.0 + x2)))
+
     from scipy.integrate import quad
 
     def integral(g, a, b):
@@ -273,8 +314,9 @@ def _ramp_moment(N, n, rho, R, k):
 def _ramped_norms(N, n, rho, R):
     """Exact (mass, grad_sq, lcrit, lq) of the ramped profile, lq(q) a callable.
 
-    Core pieces reduce to one-dimensional integrals in s = n r; ramp pieces
-    are positive polynomials in the ramp width R - rho (`_ramp_coeffs`).  The gradient and critical norms are assembled
+    Core pieces are incomplete beta functions in s = n r (`_core_integral`);
+    ramp pieces are positive polynomials in the ramp width R - rho
+    (`_ramp_coeffs`).  The gradient and critical norms are assembled
     as S^(N/2) minus the core's tail plus the ramp, so no cancellation
     occurs.
     """
@@ -301,6 +343,8 @@ def _ramped_norms(N, n, rho, R):
 
 def truncated_norms_model(N, n, q):
     """Exact (mass, grad_sq, lcrit, lq) of the truncated family."""
+    _check_dimension(N)
+    _check_positive("concentration n", n)
     mass_v, grad_v, crit_v, lq_model = _ramped_norms(N, n, 1.0, 2.0)
     return mass_v, grad_v, crit_v, lq_model(q)
 
@@ -328,6 +372,9 @@ def normalized_norms_model(N, c, n):
 
 def cutoff_radius_asymptote(N, c, n):
     """Large-n model R_n ~ [N(N+1)(N+2) c / (2 omega_N A_N^2)]^(1/N) n^(7(N-2)/3N)."""
+    _check_dimension(N)
+    _check_positive("target mass c", c)
+    _check_positive("concentration n", n)
     A = instanton_amplitude(N)
     om = sphere_area(N)
     const = (N * (N + 1) * (N + 2) * c / (2.0 * om * A ** 2)) ** (1.0 / N)
@@ -336,6 +383,14 @@ def cutoff_radius_asymptote(N, c, n):
 
 def core_mass(N, n):
     """Mass carried by the instanton core alone, out to r = n^(2/3)."""
+    _check_dimension(N)
+    _check_positive("concentration n", n)
+    return _core_mass_unchecked(N, n)
+
+
+def _core_mass_unchecked(N, n):
+    """`core_mass` for an N and n already checked; the existence bound
+    takes it about 30 times per call."""
     n = float(n)
     return _core_mass(N, n, n ** (5.0 / 3.0))
 
@@ -348,23 +403,38 @@ def normalized_family_min_n(N, c):
     with a large constant, so this bound is far from trivial: c = 1 needs
     n in the tens of thousands.
     """
-    if c <= 0.0:
-        raise ParameterError(f"target mass must be positive, got {c}")
+    _check_dimension(N)
+    _check_positive("target mass c", c)
     for n in range(1, 9):
-        if core_mass(N, n) < c:
+        if _core_mass_unchecked(N, n) < c:
             return n
     lo, hi = 8, 16
-    while core_mass(N, hi) >= c:
+    while _core_mass_unchecked(N, hi) >= c:
         lo, hi = hi, hi * 2
         if hi > 2 ** 60:
             raise BracketError(f"no admissible n below 2^60 for c = {c}")
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if core_mass(N, mid) < c:
+        if _core_mass_unchecked(N, mid) < c:
             hi = mid
         else:
             lo = mid
     return hi
+
+
+def _kink_core(N, n):
+    """The kink rho = n^(2/3) and the core mass out to it, at x = n rho:
+    `solve_cutoff_radius` and the critical scan decide existence by this
+    one value (`core_mass`'s n^(5/3) can differ in the last bit)."""
+    rho = float(n) ** (2.0 / 3.0)
+    return rho, float(_core_mass(N, n, n * rho))
+
+
+def _no_cutoff(c, n, core, min_n):
+    """Why the mass-c family does not exist at n, whose core carries `core`."""
+    return (f"instanton core out to n^(2/3) already carries mass {core:.6g} "
+            f">= c = {c:g} at n = {n}; no cutoff radius exists "
+            f"(smallest admissible n is {min_n})")
 
 
 # Newton steps of the cutoff solve: 2-7 were taken over N = 3..12, c from
@@ -385,16 +455,12 @@ def solve_cutoff_radius(N, c, n):
     already reaches c no cutoff exists, and that case raises BracketError
     rather than returning a spurious near-degenerate root.
     """
-    if c <= 0.0:
-        raise ParameterError(f"target mass must be positive, got {c}")
-    rho = float(n) ** (2.0 / 3.0)
-    core = float(_core_mass(N, n, n * rho))
+    _check_dimension(N)
+    _check_positive("target mass c", c)
+    _check_positive("concentration n", n)
+    rho, core = _kink_core(N, n)
     if core >= c:
-        raise BracketError(
-            f"instanton core out to n^(2/3) already carries mass {core:.6g} "
-            f">= c = {c:g} at n = {n}; no cutoff radius exists "
-            f"(smallest admissible n is {normalized_family_min_n(N, c)})"
-        )
+        raise BracketError(_no_cutoff(c, n, core, normalized_family_min_n(N, c)))
     coeffs = _ramp_coeffs(N, rho, 2)
     target = (c - core) / (sphere_area(N) * instanton_amplitude(N) ** 2 * _edge_sq(N, n, rho))
     w = min((target / a) ** (1.0 / (j + 1)) for j, a in enumerate(coeffs))
@@ -466,7 +532,7 @@ def instanton_asymptotics(N, q, n_list, grid=None):
     smallest n discarded (pre-asymptotic), for the quantities
     mass, |grad_sq - S^(N/2)|, |lcrit - S^(N/2)|, lq.
     """
-    n_list = sorted(int(n) for n in n_list)
+    n_list = sorted(_integer_n(n) for n in n_list)
     if grid is None:
         grid = bubble_grid(N, max(n_list), 2.0, barrier_radii=(1.0,))
     p = problem(N, 1.0, 1.0, q)
@@ -713,7 +779,7 @@ def _scan(n_list, threshold, row):
     profile has no norms; it never passes.
     """
     records = []
-    for n in sorted(int(n) for n in n_list):
+    for n in sorted(_integer_n(n) for n in n_list):
         nb, sup_t, t_at_sup, note = row(n)
         norms = (np.nan,) * 4 if nb is None else (nb.mass, nb.grad_sq, nb.lcrit, nb.lq)
         records.append(ScanRecord(
@@ -844,18 +910,25 @@ def threshold_scan_critical(p, n_list):
     overestimates grad_sq by an order-2 discretization error that can
     exceed the margin at large n; the tests keep it as the oracle.  An n
     where the family does not exist or its fiber has no maximum gives a
-    diagnostic non-passing row (sup_t NaN, the reason in `note`).
+    diagnostic non-passing row (sup_t NaN, the reason in `note`).  The
+    first such row of a call finds the smallest admissible n for its note,
+    and the later ones reuse it.
     """
     if p.mass_subcritical:
         raise HypothesisError("the dilation scan applies at and above q = 2+4/N")
     _check_mu_below_alpha(p)
+    min_n = None
 
     def row(n):
-        try:
-            mod = normalized_norms_model(p.N, p.c, n)
-        except BracketError as exc:
-            # the family does not exist at this n (core mass >= c)
-            return None, np.nan, np.nan, str(exc)
+        nonlocal min_n
+        core = _kink_core(p.N, n)[1]
+        if core >= p.c:
+            # the family does not exist at this n; the note is the text of
+            # the BracketError that solve_cutoff_radius raises there
+            if min_n is None:
+                min_n = normalized_family_min_n(p.N, p.c)
+            return None, np.nan, np.nan, _no_cutoff(p.c, n, core, min_n)
+        mod = normalized_norms_model(p.N, p.c, n)
         nb = NormBundle(mod["mass"], mod["grad_sq"], mod["lq"](p.q), mod["lcrit"])
         try:
             pt = manifold_projection(nb, p)

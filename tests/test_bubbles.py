@@ -228,6 +228,12 @@ def test_truncated_dual_route_agreement():
             assert r.lq == pytest.approx(r.lq_model, rel=1e-6)
 
 
+def test_asymptotics_table_rejects_a_fractional_n():
+    # n = 2.5 was tabulated as n = 2
+    with pytest.raises(ParameterError, match="integer >= 1"):
+        B.instanton_asymptotics(3, 4.0, [2.5, 8, 16])
+
+
 def test_truncated_slopes_match_theory_n3():
     tab = B.instanton_asymptotics(3, 2.5, [10, 20, 40, 80, 160])
     theory = {"mass": -1.0, "grad_dev": -1.0, "crit_dev": -3.0, "lq": -1.25}
@@ -307,6 +313,45 @@ def test_normalized_family_existence_bounds():
 def test_cutoff_rejects_bad_mass():
     with pytest.raises(ParameterError):
         B.solve_cutoff_radius(3, 0.0, 50)
+    # nan and inf used to run the 20 Newton steps into ConvergenceError
+    for c in (-1.0, math.nan, math.inf):
+        with pytest.raises(ParameterError, match="target mass"):
+            B.solve_cutoff_radius(4, c, 64)
+
+
+@pytest.mark.parametrize("n", [0, -8, -8.0, math.nan, math.inf])
+def test_cutoff_rejects_bad_concentration(n):
+    # n = 0 divided by zero; n = -8 made the kink n^(2/3) complex
+    with pytest.raises(ParameterError, match="concentration"):
+        B.solve_cutoff_radius(4, 1.0, n)
+    with pytest.raises(ParameterError, match="concentration"):
+        B.core_mass(4, n)
+
+
+@pytest.mark.parametrize("n", [0, -8, math.nan, math.inf])
+def test_truncated_family_rejects_bad_concentration(n):
+    # n = -8 returned a negative mass, n = 0 NaN norms
+    g = B.bubble_grid(3, 8, 2.0, barrier_radii=(1.0,))
+    with pytest.raises(ParameterError, match="concentration"):
+        B.truncated_norms_model(3, n, 4.0)
+    with pytest.raises(ParameterError, match="concentration"):
+        B.truncated_instanton(3, n, g)
+
+
+@pytest.mark.parametrize("c", [0.0, math.nan, math.inf])
+def test_family_min_n_rejects_bad_mass(c):
+    # nan used to return 16
+    with pytest.raises(ParameterError, match="target mass"):
+        B.normalized_family_min_n(4, c)
+
+
+@pytest.mark.parametrize("N", [2, 1, 3.0])
+def test_family_functions_reject_bad_dimension(N):
+    # N = 2 doubled n to 2^60 and raised BracketError
+    with pytest.raises(ParameterError, match="dimension"):
+        B.normalized_family_min_n(N, 1.0)
+    with pytest.raises(ParameterError, match="dimension"):
+        B.solve_cutoff_radius(N, 1.0, 64)
 
 
 def _cutoff_sweep():
@@ -362,6 +407,53 @@ def test_core_integral_and_its_tail_sum_to_the_beta_function(m, e):
     total = B._core_integral(m, e, x) + B._core_integral(2 * e - m - 2, e, 1.0 / x)
     a = (m + 1) / 2.0
     assert total == pytest.approx(0.5 * beta(a, e - a), rel=1e-13)
+
+
+def _oracle_cases():
+    """(m, e, x) of every core integral the mass-c family takes, N = 3..8,
+    at x = n^(5/3) for every power of two n up to 2^24: the gradient and
+    critical tails at 1/x, the N >= 5 mass, and the L^q core at q = 2+4/N,
+    the midpoint of [2+4/N, 2*] and 2* - 0.01."""
+    cases = []
+    for N in range(3, 9):
+        two_star = 2.0 * N / (N - 2.0)
+        q_bar = 2.0 + 4.0 / N
+        qs = (q_bar, 0.5 * (q_bar + two_star), two_star - 0.01)
+        for k in range(25):
+            x = float(2 ** k) ** (5.0 / 3.0)
+            cases += [(N - 3, N, 1.0 / x), (N - 1, N, 1.0 / x)]
+            cases += [(N - 1, q * (N - 2) / 2.0, x) for q in qs]
+            if N >= 5:
+                cases.append((N - 1, N - 2, x))
+    return cases
+
+
+def test_core_integral_is_the_incomplete_beta_function():
+    mpmath = pytest.importorskip("mpmath")
+    cases = _oracle_cases()
+    assert len(cases) == 6 * 25 * 5 + 4 * 25
+    with mpmath.workdps(50):
+        for m, e, x in cases:
+            a = mpmath.mpf(m + 1) / 2
+            x_ = mpmath.mpf(x)
+            want = mpmath.betainc(a, mpmath.mpf(e) - a, 0, x_ ** 2 / (1 + x_ ** 2)) / 2
+            got = B._core_integral(m, e, x)
+            assert abs(got - want) <= 1e-14 * want, (m, e, x)
+
+
+@pytest.mark.parametrize("q", [2.1, 2.5, 2.99, 3.0])
+def test_core_integral_without_a_beta_function(q):
+    # N = 3, q <= 3: b = (q - 3)/2 <= 0, so the L^q core grows without bound
+    # and takes the quadrature branch
+    mpmath = pytest.importorskip("mpmath")
+    e = q / 2.0
+    for x in (0.01, 1.0, 160.0, 1e7):
+        with mpmath.workdps(50):
+            cuts = [0] + [mpmath.mpf(10) ** k for k in range(int(math.log10(x)) + 1)
+                          if 10 ** k < x] + [mpmath.mpf(x)]
+            want = mpmath.quad(lambda s: s ** 2 * (1 + s ** 2) ** (-mpmath.mpf(e)), cuts)
+        # quad is asked for 1e-12 relative
+        assert abs(B._core_integral(2, e, x) - want) <= 1e-12 * want, x
 
 
 def test_core_mass_far_out_in_five_dimensions():
@@ -940,6 +1032,72 @@ def test_scan_result_as_dict_is_strict_json():
             assert d["sup_t"] is None and d["mass"] is None and d["note"] == r.note
         else:
             assert d == asdict(r)
+
+
+def test_critical_scan_finds_the_existence_bound_once(monkeypatch):
+    # crit4's rows n = 8, 16 lack the family; both notes quote the bound
+    calls = []
+    min_n = B.normalized_family_min_n
+
+    def spy(N, c):
+        calls.append((N, c))
+        return min_n(N, c)
+
+    monkeypatch.setattr(B, "normalized_family_min_n", spy)
+    res = B.threshold_scan_critical(_crit4(), [8, 16, 32, 64, 128, 256])
+    assert calls == [(4, 1.0)]
+    assert [r.note for r in res.records[:2]] == [
+        "instanton core out to n^(2/3) already carries mass 7.32007 >= c = 1 at n = 8; "
+        "no cutoff radius exists (smallest admissible n is 29)",
+        "instanton core out to n^(2/3) already carries mass 2.54209 >= c = 1 at n = 16; "
+        "no cutoff radius exists (smallest admissible n is 29)",
+    ]
+    for r in res.records[:2]:
+        with pytest.raises(BracketError) as exc:
+            B.solve_cutoff_radius(4, 1.0, r.n)
+        assert r.note == str(exc.value)
+    calls.clear()
+    assert B.threshold_scan_critical(_crit4(), [32, 64]).first_pass == 32
+    assert calls == []
+
+
+def test_critical_scans_do_not_integrate():
+    # every core integral of the benchmark's crit3 and crit4 rows has
+    # b = e - (m+1)/2 > 0, so it is an incomplete beta function and
+    # scipy.integrate is never imported.  crit4's mu check takes the GN
+    # constant, whose shooting imports it; its rows are first run at mu = 0,
+    # then at the benchmark's mu with quad disabled.
+    code = """if True:
+        import json, sys
+        import massnls as M
+        crit3 = M.threshold_scan_critical(M.problem(3, 1.0, 1.0, 4.0),
+                                          [2 ** k for k in range(12, 17)])
+        small = [8, 16, 32, 64, 128, 256]
+        M.threshold_scan_critical(M.problem(4, 1.0, 0.0, 3.0), small)
+        loaded = "scipy.integrate" in sys.modules
+        alpha = M.thresholds(4, 3.0, 1.0, 1.0).alpha_Nq
+        import scipy.integrate
+
+        def no_quad(*args, **kwargs):
+            raise AssertionError("quad was called")
+
+        scipy.integrate.quad = no_quad
+        crit4 = M.threshold_scan_critical(M.problem(4, 1.0, 0.9 * alpha, 3.0), small)
+        print(json.dumps([loaded, crit3.first_pass, crit4.first_pass]))
+    """
+    assert _child(code) == [False, 16384, 32]
+
+
+def test_scans_reject_bad_n():
+    # n = 0 divided by zero, n = -8 made a complex kink, and n = 2.5 was
+    # scanned as n = 2
+    p = _crit4()
+    for n in (0, -8, 2.5, math.nan, math.inf, "8"):
+        with pytest.raises(ParameterError, match="integer >= 1"):
+            B.threshold_scan_critical(p, [32, n])
+    with pytest.raises(ParameterError, match="integer >= 1"):
+        B.threshold_scan_subcritical(problem(3, 1.0, 1.0, 2.5), _valley(1.0), [8, 2.5])
+    assert [r.n for r in B.threshold_scan_critical(p, [64.0, np.int64(32)]).records] == [32, 64]
 
 
 def test_critical_scan_guards():

@@ -94,3 +94,16 @@ def test_bubbles_imports_no_scipy_optimize_at_any_depth():
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             names.update(f"{node.module}.{alias.name}" for alias in node.names)
     assert not any(name.split(".")[:2] == ["scipy", "optimize"] for name in names)
+
+
+def test_no_module_imports_scipy_special_at_module_level():
+    # bubbles imports betainc inside its core integral; scipy.special comes
+    # loaded through manifold's scipy.optimize today, but would cost a
+    # process that never takes a core integral its import once that goes
+    found = {
+        path.name
+        for path in (ROOT / "src" / "massnls").rglob("*.py")
+        if any(name == "scipy.special" or name.startswith("scipy.special.")
+               for name in _module_level_imports(ast.parse(path.read_text())))
+    }
+    assert found == set()
