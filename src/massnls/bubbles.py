@@ -846,6 +846,33 @@ def _argmax_in_log_t(p, cross, lo, s, hi):
     return s
 
 
+def _sup_over_t(p, cross, t_grid):
+    """The sup over t of Phi(W(t)) from the coarse weights t_grid.
+
+    The energies on t_grid are one array call of the cross-term route.  Their
+    argmax k is refined by Newton in log t between its two neighbours
+    (`_argmax_in_log_t`), and the larger of the grid and refined values is
+    kept.  Returns the coarse bundle, its energies, k and the sup as a
+    `_scan` row, a diagnostic one when k is an end of the positive weights.
+    """
+    coarse = _superposition_bundle(p, cross, t_grid)
+    vals = fiber_energy(coarse, p, 1.0)
+    k = int(np.argmax(vals))
+    if not 0 < k < len(t_grid) - 1 or t_grid[k - 1] == 0.0:
+        return coarse, vals, k, (None, np.nan, np.nan, (
+            f"the energy of W(t) peaks at the end t = {t_grid[k]:g} of "
+            f"[{t_grid[0]:g}, {t_grid[-1]:g}]; no interior maximum"))
+    t_best = float(np.exp(_argmax_in_log_t(p, cross, *np.log(t_grid[k - 1:k + 2]))))
+    nb = _superposition_bundle(p, cross, t_best)
+    sup_v = float(fiber_energy(nb, p, 1.0))
+    if vals[k] > sup_v:
+        # a scalar bundle at the grid point, not a row of the array one:
+        # numpy may round an array power differently from a scalar one
+        t_best, sup_v = float(t_grid[k]), float(vals[k])
+        nb = _superposition_bundle(p, cross, t_best)
+    return coarse, vals, k, (nb, sup_v, t_best, "")
+
+
 def threshold_scan_subcritical(p, u_c, n_list):
     """Mountain-pass threshold scan for the mass-subcritical regime.
 
@@ -854,22 +881,16 @@ def threshold_scan_subcritical(p, u_c, n_list):
     relative).  W(t) is the mass-c dilation of u_c + t U_n, and the sup
     over t of its energy is compared against Phi(u_c) + S^(N/2)/N.  u_c is
     interpolated once (PCHIP) and resampled onto each bubble grid.  The sup
-    is taken on 25 log-spaced weights in [1e-3, 1e3], evaluated in one
-    array call of the cross-term route, then refined by safeguarded Newton
-    in s = log t inside the two cells around the grid argmax
-    (`_argmax_in_log_t`, with the exact slopes of `_log_t_slopes`), and
-    the energy at the refined t is compared with the grid maximum, the
-    larger of the two kept.  An n whose grid argmax is an end of that range
-    has no interior maximum in it and gives a diagnostic non-passing row
-    (sup_t NaN, the reason in `note`).  Records are returned in n order
-    together with the first passing n (if any).
+    is `_sup_over_t`, shared with `mountain_pass_path`, on the 25 weights
+    `_T_GRID` in [1e-3, 1e3].  An n whose grid argmax is an end of that
+    range gives a diagnostic non-passing row (sup_t NaN, the reason in
+    `note`).  Records are returned in n order with the first passing n.
     """
     if not p.mass_subcritical:
         raise HypothesisError("the superposition scan applies below q = 2+4/N")
     if abs(mass(u_c) - p.c) > 1e-6 * p.c:
         raise ParameterError(f"u_c mass {mass(u_c):g} is off the target sphere c = {p.c:g}")
     threshold = energy(u_c, p) + sobolev_constant(p.N).S_pow / p.N
-    s_grid = np.log(_T_GRID)
     resample = _pchip(u_c.grid.nodes, u_c.values)
 
     def row(n):
@@ -877,24 +898,7 @@ def threshold_scan_subcritical(p, u_c, n_list):
         g = bubble_grid(p.N, n, R_max, barrier_radii=(1.0, 2.0))
         uc_g = RadialFunction(g, resample(g.nodes))
         U = truncated_instanton(p.N, n, g)
-        cross = _build_cross(p, uc_g, U, c=p.c)
-        vals = fiber_energy(_superposition_bundle(p, cross, _T_GRID), p, 1.0)
-        k = int(np.argmax(vals))
-        if k in (0, len(_T_GRID) - 1):
-            return None, np.nan, np.nan, (
-                f"the energy of W(t) peaks at the end t = {_T_GRID[k]:g} of "
-                f"[{_T_GRID[0]:g}, {_T_GRID[-1]:g}]; no interior maximum"
-            )
-        s_best = _argmax_in_log_t(p, cross, s_grid[k - 1], s_grid[k], s_grid[k + 1])
-        t_best = float(np.exp(s_best))
-        nb = _superposition_bundle(p, cross, t_best)
-        sup_v = float(fiber_energy(nb, p, 1.0))
-        if vals[k] > sup_v:
-            # a scalar bundle at the grid point, not a row of the array one:
-            # numpy may round an array power differently from a scalar one
-            t_best, sup_v = float(_T_GRID[k]), float(vals[k])
-            nb = _superposition_bundle(p, cross, t_best)
-        return nb, sup_v, t_best, ""
+        return _sup_over_t(p, _build_cross(p, uc_g, U, c=p.c), _T_GRID)[3]
 
     return _scan(n_list, threshold, row)
 

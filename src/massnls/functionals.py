@@ -102,10 +102,10 @@ class ProblemParams:
 
 def problem(N, c, mu, q):
     ep = exponents(N, q)
-    if not c > 0.0:
-        raise ParameterError(f"mass c must be positive, got {c}")
-    if mu < 0.0:
-        raise ParameterError(f"mu must be nonnegative, got {mu}")
+    if not 0.0 < c < np.inf:
+        raise ParameterError(f"mass c must be positive and finite, got {c}")
+    if not 0.0 <= mu < np.inf:
+        raise ParameterError(f"mu must be nonnegative and finite, got {mu}")
     return ProblemParams(ep.N, float(c), float(mu), ep.q, ep)
 
 

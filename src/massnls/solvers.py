@@ -52,7 +52,7 @@ from .functionals import (
 )
 from .grid import RadialFunction, _dot, make_grid, mass
 from .manifold import fiber_critical_points, manifold_projection
-from .bubbles import _build_cross, _superposition_bundle, bubble_grid, truncated_instanton
+from .bubbles import _T_GRID, _build_cross, _sup_over_t, bubble_grid, truncated_instanton
 
 __all__ = [
     "SolveOptions",
@@ -565,12 +565,12 @@ def ground_state_minimax(p, init, opts=None):
 
 @dataclass
 class MountainPassReport:
-    t_grid: np.ndarray
-    energies: np.ndarray
+    t_grid: np.ndarray         # the coarse weights, 0 first
+    energies: np.ndarray       # Phi on t_grid
     base_level: float          # Phi at the t=0 endpoint (the local minimizer)
-    level_estimate: float      # max over the path: upper estimate of the pass
-    t_at_max: float
-    t_hat: float               # first t with Phi < 2 * base_level
+    level_estimate: float      # sup over the path, refined in log t: upper estimate of the pass
+    t_at_max: float            # the t of that sup
+    t_hat: float               # first t_grid weight past the sup with Phi < 2 * base_level
     mass_err_max: float
 
     def as_dict(self):
@@ -591,24 +591,23 @@ def mountain_pass_path(p, u_minus, bubble, t_grid=None):
 
     W_t is the mass-c dilation of u_minus + t * bubble (see `superpose`).
     u_minus must lie on the mass sphere (to 1e-6 relative), so the path
-    starts at u_minus, exactly when its mass is c to roundoff.  The path
-    maximum is an upper estimate of the mountain-pass level, and t_hat
-    marks where the energy first drops below twice the (negative) base
-    level -- the admissible endpoint for the minimax class.
+    starts at u_minus, exactly when its mass is c to roundoff.  The path's
+    sup, level_estimate at t_at_max, is an upper estimate of the
+    mountain-pass level.  t_hat, the first weight past it with energy below
+    twice the (negative) base level, is the admissible endpoint for the
+    minimax class.
 
-    The energies take the cross-term route: the mass and stiffness form of
-    u_minus + t * bubble are quadratic in t, so one pass over the shared
-    grid (two stiffness stencils) fixes them for every t, and the dilation
-    laws carry the norms over to W_t without building it.  The Lebesgue norms
-    and the direct mass of all the weights come from one call on the
-    whole t_grid (`_build_cross`): off the bubble's support they are summed
-    once, on it the rows u_minus + t * bubble are evaluated in blocks.  No
-    grid or stiffness form is built, and the energies are one vectorised
-    `fiber_energy`.  mass_err_max is the largest relative gap between the
-    quadratic mass that sets the dilation and the direct quadrature of
-    (u_minus + t * bubble)^2.  A t_grid passed in must be a nonempty 1-D
-    array of finite, nonnegative and strictly increasing weights; 0 is
-    prepended when it does not start there.
+    The sup is the subcritical scan's `bubbles._sup_over_t`: the energies on
+    the coarse weights t_grid by the cross-term route (`_build_cross`), then
+    Newton in log t between the neighbours of their argmax.  energies is the
+    coarse curve, and mass_err_max the largest relative gap on it between
+    the quadratic mass that sets the dilation and the direct quadrature of
+    (u_minus + t * bubble)^2.  t_grid defaults to 0 and the 25 weights of
+    `bubbles._T_GRID`.  One passed in must be a nonempty 1-D array of
+    finite, nonnegative and strictly increasing weights; 0 is prepended
+    when it does not start there.  A sup with no later weight below
+    2 * base raises ScanExhaustedError, one at or before the first positive
+    weight NumericalError.
     """
     if not p.mass_subcritical:
         raise HypothesisError("the mountain-pass path lives below q = 2 + 4/N")
@@ -617,7 +616,7 @@ def mountain_pass_path(p, u_minus, bubble, t_grid=None):
             f"u_minus mass {mass(u_minus):g} is off the target sphere c = {p.c:g}"
         )
     if t_grid is None:
-        t_grid = np.concatenate([[0.0], np.geomspace(1e-3, 1e3, 400)])
+        t_grid = np.concatenate([[0.0], _T_GRID])
     else:
         t_grid = np.asarray(t_grid, dtype=float)
         if t_grid.ndim != 1 or t_grid.size == 0:
@@ -631,27 +630,24 @@ def mountain_pass_path(p, u_minus, bubble, t_grid=None):
         if t_grid[0] != 0.0:
             t_grid = np.concatenate([[0.0], t_grid])
 
-    cross = _build_cross(p, u_minus, bubble, c=p.c)
-    nb = _superposition_bundle(p, cross, t_grid)
-    energies = fiber_energy(nb, p, 1.0)
-
+    nb, energies, k, (_, level, t_max, _) = _sup_over_t(
+        p, _build_cross(p, u_minus, bubble, c=p.c), t_grid)
     base = float(energies[0])
-    below = np.flatnonzero(energies < 2.0 * base)
+    below = k + 1 + np.flatnonzero(energies[k + 1:] < 2.0 * base)
     if below.size == 0:
         k_min = int(np.argmin(energies))
         raise ScanExhaustedError(
-            f"no path point has energy below 2*base = {2.0 * base:.6g}; "
-            f"the path minimum is {energies[k_min]:.6g} at t = {t_grid[k_min]:.4g} "
-            f"-- extend the t-grid upward"
-        )
-    k_max = int(np.argmax(energies))
+            f"no path point past the maximum is below 2*base = {2.0 * base:.6g} (minimum "
+            f"{energies[k_min]:.6g} at t = {t_grid[k_min]:.4g}) -- extend the t-grid upward")
+    if math.isnan(level):
+        raise NumericalError(f"the path energy peaks at t = {t_grid[k]:g}, not past the first "
+                             f"positive weight; no interior maximum -- extend the t-grid downward")
     return MountainPassReport(
         t_grid=t_grid,
         energies=energies,
         base_level=base,
-        level_estimate=float(energies[k_max]),
-        t_at_max=float(t_grid[k_max]),
+        level_estimate=level,
+        t_at_max=t_max,
         t_hat=float(t_grid[below[0]]),
         mass_err_max=float(np.max(np.abs(nb.mass - p.c))) / p.c,
     )
-

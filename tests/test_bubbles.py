@@ -903,12 +903,13 @@ def test_path_energies_do_not_depend_on_the_blas_thread_count():
         u = normalize_mass(RadialFunction(g, np.exp(-(g.nodes / 1.5) ** 2)), p.c)
         U = truncated_instanton(3, 64, g)
         assert np.count_nonzero(U.values) == 15000
-        mp = mountain_pass_path(p, u, U)
-        print(json.dumps([float(e).hex() for e in mp.energies]))
+        mp = mountain_pass_path(p, u, U, t_grid=np.geomspace(1e-3, 1e3, 400))
+        print(json.dumps([float(e).hex() for e in mp.energies]
+                         + [float(mp.level_estimate).hex()]))
     """
     one, two = (_child(code, OPENBLAS_NUM_THREADS=k) for k in ("1", "2"))
     assert one == two
-    assert len(one) == 401 and "nan" not in str(one)
+    assert len(one) == 402 and "nan" not in str(one)
 
 
 @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs a second core to spill onto")

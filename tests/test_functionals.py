@@ -1,5 +1,7 @@
 """Tests for the energy/Pohozaev functionals and the dilation fiber algebra."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -59,6 +61,12 @@ def test_problem_validation():
         problem(3, 1.0, 1.0, 6.0)  # q = 2* not allowed
     with pytest.raises(ParameterError):
         problem(3, 1.0, 1.0, 2.0)
+
+
+@pytest.mark.parametrize("c, mu", [(math.inf, 1.0), (1.0, math.nan), (1.0, math.inf)])
+def test_problem_rejects_non_finite_mass_or_mu(c, mu):
+    with pytest.raises(ParameterError, match="finite"):
+        problem(3, c, mu, 4.0)
 
 
 def test_mass_regime_flags():

@@ -107,3 +107,35 @@ def test_no_module_imports_scipy_special_at_module_level():
                for name in _module_level_imports(ast.parse(path.read_text())))
     }
     assert found == set()
+
+
+def _unused_module_level_imports(tree):
+    """Names a module binds by a module-level import, never reads and does
+    not list in its __all__."""
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = alias.name
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            exported.update(ast.literal_eval(node.value))
+    return sorted(target for name, target in bound.items()
+                  if name not in read and name not in exported)
+
+
+def test_no_module_keeps_an_unused_module_level_import():
+    # the package's __init__ imports only to re-export, so it is left out
+    found = {
+        path.name: unused
+        for path in (ROOT / "src" / "massnls").rglob("*.py")
+        if path.name != "__init__.py"
+        and (unused := _unused_module_level_imports(ast.parse(path.read_text())))
+    }
+    assert found == {}

@@ -11,6 +11,8 @@ import pytest
 
 from massnls import functionals, solvers
 from massnls.bubbles import (
+    _build_cross,
+    _superposition_bundle,
     bubble_grid,
     superpose,
     threshold_scan_critical,
@@ -20,6 +22,7 @@ from massnls.constants import sobolev_constant, thresholds
 from massnls.errors import (
     HypothesisError,
     NoCriticalPointError,
+    NumericalError,
     ParameterError,
     ScanExhaustedError,
 )
@@ -702,6 +705,13 @@ def test_path_that_never_drops_is_reported_as_exhausted():
         mountain_pass_path(p, rpt.u, U, t_grid=np.geomspace(1e-3, 1.0, 50))
 
 
+def test_path_that_peaks_at_its_first_positive_weight_is_an_error():
+    # the path rises up to t ~ 0.94 and has collapsed by t = 1e3
+    p, rpt, U = _pass_pieces()
+    with pytest.raises(NumericalError, match="t = 0.5, not past the first positive weight"):
+        mountain_pass_path(p, rpt.u, U, t_grid=[0.5, 1e3])
+
+
 def test_path_matches_the_explicit_superposition():
     # the cross-term route against W_t built on its own dilated grid
     p, rpt, U = _pass_pieces()
@@ -715,9 +725,25 @@ def test_path_matches_the_explicit_superposition():
     ref, scale = np.array(ref), np.array(scale)
     assert np.all(np.abs(mp.energies - ref) <= 1e-10 * scale)
     k = int(np.argmax(ref))
-    assert mp.t_at_max == mp.t_grid[k]
+    # the level is the sup refined in log t between the grid neighbours of k
+    assert mp.level_estimate >= ref.max()
+    assert mp.t_grid[k - 1] < mp.t_at_max < mp.t_grid[k + 1]
     assert mp.t_hat == mp.t_grid[np.flatnonzero(ref < 2.0 * ref[0])[0]]
-    assert mp.level_estimate == pytest.approx(ref[k], rel=1e-9)
+
+
+@pytest.mark.parametrize("n", [16, 64])
+def test_path_level_is_the_path_maximum(n):
+    # the refined sup against dense and old-default grids on the same cross route
+    p, rpt, U = _pass_pieces(n)
+    mp = mountain_pass_path(p, rpt.u, U)
+    cross = _build_cross(p, rpt.u, U, c=p.c)
+
+    def grid_max(ts):
+        return float(np.max(fiber_energy(_superposition_bundle(p, cross, ts), p, 1.0)))
+
+    dense = grid_max(np.geomspace(1e-3, 1e3, 4000))
+    assert mp.level_estimate >= dense - 1e-12 * abs(dense)
+    assert mp.level_estimate >= grid_max(np.concatenate([[0.0], np.geomspace(1e-3, 1e3, 400)]))
 
 
 def test_path_rejects_profiles_on_different_grids():
@@ -741,10 +767,11 @@ def test_path_peak_memory_stays_below_one_megabyte():
     g = bubble_grid(3, 128, 60.0, barrier_radii=(1.0, 2.0))
     u = normalize_mass(RadialFunction(g, np.exp(-((g.nodes / 3.0) ** 2))), p.c)
     U = truncated_instanton(3, 128, g)
-    mountain_pass_path(p, u, U)   # builds the grid's cached stiffness form
+    t_grid = np.geomspace(1e-3, 1e3, 400)
+    mountain_pass_path(p, u, U, t_grid)   # builds the grid's cached stiffness form
     tracemalloc.start()
     try:
-        mountain_pass_path(p, u, U)
+        mountain_pass_path(p, u, U, t_grid)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
