@@ -66,13 +66,10 @@ from .manifold import (
     manifold_projection,
 )
 from .bubbles import (
-    AsymptoticsTable,
     ScanRecord,
     ScanResult,
     bubble_grid,
     core_mass,
-    cutoff_radius_asymptote,
-    instanton_asymptotics,
     mass_normalized_instanton,
     normalized_family_min_n,
     normalized_norms_model,

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -47,8 +47,6 @@ from .functionals import (
     _check_mu_below_alpha,
     energy,
     fiber_energy,
-    problem,
-    stiff_bundle,
 )
 from .grid import (
     RadialFunction,
@@ -68,13 +66,9 @@ __all__ = [
     "truncated_instanton",
     "mass_normalized_instanton",
     "solve_cutoff_radius",
-    "cutoff_radius_asymptote",
     "core_mass",
     "normalized_family_min_n",
     "bubble_grid",
-    "instanton_asymptotics",
-    "AsymptoticsRow",
-    "AsymptoticsTable",
     "truncated_norms_model",
     "normalized_norms_model",
     "superpose",
@@ -105,10 +99,10 @@ def bubble_grid(N, n, R_max, barrier_radii=()):
     nodes per decade beyond, with the requested kink radii inserted as
     exact nodes/barriers.
     """
-    if n < 1:
-        raise ParameterError(f"concentration parameter must be >= 1, got {n}")
-    if R_max <= 2.0 / n:
-        raise ParameterError(f"R_max = {R_max} does not cover the core 2/n")
+    if not (math.isfinite(n) and n >= 1):
+        raise ParameterError(f"concentration parameter must be finite and >= 1, got {n}")
+    if not (math.isfinite(R_max) and R_max > 2.0 / n):
+        raise ParameterError(f"R_max = {R_max} is not finite or does not cover the core 2/n")
     grid_nodes = np.concatenate(_core_nodes(n, R_max, per_decade=800))
     # insert kink radii as exact nodes, evicting any non-kink node that
     # would leave a degenerate cell next to them
@@ -370,29 +364,20 @@ def normalized_norms_model(N, c, n):
 # cutoff radius
 # ----------------------------------------------------------------------------
 
-def cutoff_radius_asymptote(N, c, n):
-    """Large-n model R_n ~ [N(N+1)(N+2) c / (2 omega_N A_N^2)]^(1/N) n^(7(N-2)/3N)."""
-    _check_dimension(N)
-    _check_positive("target mass c", c)
-    _check_positive("concentration n", n)
-    A = instanton_amplitude(N)
-    om = sphere_area(N)
-    const = (N * (N + 1) * (N + 2) * c / (2.0 * om * A ** 2)) ** (1.0 / N)
-    return const * float(n) ** (7.0 * (N - 2) / (3.0 * N))
+def _kink_core(N, n):
+    """The kink rho = n^(2/3) and the core mass out to it, at x = n rho: the
+    one value by which `core_mass`, the existence bound, `solve_cutoff_radius`
+    and the critical scan decide whether the family exists at n."""
+    n = float(n)
+    rho = n ** (2.0 / 3.0)
+    return rho, float(_core_mass(N, n, n * rho))
 
 
 def core_mass(N, n):
     """Mass carried by the instanton core alone, out to r = n^(2/3)."""
     _check_dimension(N)
     _check_positive("concentration n", n)
-    return _core_mass_unchecked(N, n)
-
-
-def _core_mass_unchecked(N, n):
-    """`core_mass` for an N and n already checked; the existence bound
-    takes it about 30 times per call."""
-    n = float(n)
-    return _core_mass(N, n, n ** (5.0 / 3.0))
+    return _kink_core(N, n)[1]
 
 
 def normalized_family_min_n(N, c):
@@ -406,28 +391,20 @@ def normalized_family_min_n(N, c):
     _check_dimension(N)
     _check_positive("target mass c", c)
     for n in range(1, 9):
-        if _core_mass_unchecked(N, n) < c:
+        if _kink_core(N, n)[1] < c:
             return n
     lo, hi = 8, 16
-    while _core_mass_unchecked(N, hi) >= c:
+    while _kink_core(N, hi)[1] >= c:
         lo, hi = hi, hi * 2
         if hi > 2 ** 60:
             raise BracketError(f"no admissible n below 2^60 for c = {c}")
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if _core_mass_unchecked(N, mid) < c:
+        if _kink_core(N, mid)[1] < c:
             hi = mid
         else:
             lo = mid
     return hi
-
-
-def _kink_core(N, n):
-    """The kink rho = n^(2/3) and the core mass out to it, at x = n rho:
-    `solve_cutoff_radius` and the critical scan decide existence by this
-    one value (`core_mass`'s n^(5/3) can differ in the last bit)."""
-    rho = float(n) ** (2.0 / 3.0)
-    return rho, float(_core_mass(N, n, n * rho))
 
 
 def _no_cutoff(c, n, core, min_n):
@@ -474,93 +451,6 @@ def solve_cutoff_radius(N, c, n):
         f"cutoff radius: Newton took {_NEWTON_STEPS} steps without settling "
         f"(n = {n}, c = {c}, w = {w!r})"
     )
-
-
-# ----------------------------------------------------------------------------
-# asymptotic tables
-# ----------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class AsymptoticsRow:
-    n: int
-    mass: float
-    grad_sq: float
-    lcrit: float
-    lq: float
-    mass_model: float
-    grad_model: float
-    crit_model: float
-    lq_model: float
-
-
-@dataclass
-class AsymptoticsTable:
-    N: int
-    q: float
-    rows: list
-    slopes: dict = field(default_factory=dict)
-    model_slopes: dict = field(default_factory=dict)
-
-    def max_model_mismatch(self):
-        worst = 0.0
-        for r in self.rows:
-            for got, want in (
-                (r.mass, r.mass_model),
-                (r.grad_sq, r.grad_model),
-                (r.lcrit, r.crit_model),
-                (r.lq, r.lq_model),
-            ):
-                worst = max(worst, abs(got - want) / max(1e-300, abs(want)))
-        return worst
-
-
-def _fit_slope(ns, ys):
-    ns = np.asarray(ns, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    good = ys > 0.0
-    if np.count_nonzero(good) < 2:
-        return float("nan")
-    coef = np.polyfit(np.log(ns[good]), np.log(ys[good]), 1)
-    return float(coef[0])
-
-
-def instanton_asymptotics(N, q, n_list, grid=None):
-    """Norm table of the truncated family with log-log decay slopes.
-
-    Each row carries both the grid-quadrature norms and the closed-form
-    model values.  Slopes are least-squares fits over n_list with the
-    smallest n discarded (pre-asymptotic), for the quantities
-    mass, |grad_sq - S^(N/2)|, |lcrit - S^(N/2)|, lq.
-    """
-    n_list = sorted(_integer_n(n) for n in n_list)
-    if grid is None:
-        grid = bubble_grid(N, max(n_list), 2.0, barrier_radii=(1.0,))
-    p = problem(N, 1.0, 1.0, q)
-    sob = sobolev_constant(N)
-
-    def row(n):
-        u = truncated_instanton(N, n, grid)
-        nb = stiff_bundle(u.grid, u.values, p)
-        m_m, g_m, c_m, q_m = truncated_norms_model(N, n, q)
-        return AsymptoticsRow(n, nb.mass, nb.grad_sq, nb.lcrit, nb.lq, m_m, g_m, c_m, q_m)
-
-    rows = [row(n) for n in n_list]
-
-    table = AsymptoticsTable(N, q, rows)
-    ns = [r.n for r in rows][1:]
-    table.slopes = {
-        "mass": _fit_slope(ns, [r.mass for r in rows][1:]),
-        "grad_dev": _fit_slope(ns, [abs(r.grad_sq - sob.S_pow) for r in rows][1:]),
-        "crit_dev": _fit_slope(ns, [abs(r.lcrit - sob.S_pow) for r in rows][1:]),
-        "lq": _fit_slope(ns, [r.lq for r in rows][1:]),
-    }
-    table.model_slopes = {
-        "mass": _fit_slope(ns, [r.mass_model for r in rows][1:]),
-        "grad_dev": _fit_slope(ns, [abs(r.grad_model - sob.S_pow) for r in rows][1:]),
-        "crit_dev": _fit_slope(ns, [abs(r.crit_model - sob.S_pow) for r in rows][1:]),
-        "lq": _fit_slope(ns, [r.lq_model for r in rows][1:]),
-    }
-    return table
 
 
 # ----------------------------------------------------------------------------

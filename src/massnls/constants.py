@@ -21,8 +21,8 @@ integrates the radial ODE with the DOP853 integrator (rtol 1e-10, atol
 nearly linear in Q(0) near the height.  Anderson-Bjorck regula falsi on
 that miss narrows the bracket of the height to 1e-13 relative, in 13-23
 shots for N = 3..6 and q >= 2.1.  The direct minimization of the Weinstein
-quotient over grid profiles (`weinstein_quotient_min`) is the independent
-oracle.
+quotient over grid profiles (`weinstein_quotient_min` in
+`tests/test_constants.py`) is the independent oracle.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BracketError, ConvergenceError, ParameterError
-from .grid import _dot, _stiff_apply, make_grid, sphere_area
+from .grid import sphere_area
 
 __all__ = [
     "ExponentPack",
@@ -44,7 +44,6 @@ __all__ = [
     "GNGroundState",
     "gn_ground_state",
     "gn_constant",
-    "weinstein_quotient_min",
     "ThresholdReport",
     "thresholds",
 ]
@@ -279,55 +278,6 @@ def gn_ground_state(N, q):
 def gn_constant(N, q):
     """Best constant C_{N,q} in the Gagliardo-Nirenberg inequality."""
     return gn_ground_state(N, q).C
-
-
-def weinstein_quotient_min(N, q):
-    """Independent estimate of C_{N,q} by direct quotient minimization.
-
-    Minimizes log of the (inverse) Weinstein quotient over nodal profiles on
-    a graded grid of 500 cells on [0, 25]; never touches the shooting path.
-    Returns the implied C_{N,q} estimate.
-
-    Budget: one L-BFGS-B run from exp(-r/2), stopped at maxiter = maxfun =
-    4000.  At (N, q) = (3, 2.5) that reaches 3.7e-6 relative to the shooting
-    value in about 1.1 s (2-vCPU VM).  The budget is sized for that pair:
-    the landscape is worse conditioned elsewhere, and the same budget leaves
-    1.5e-4 at (3, 4) and 3e-2 at (4, 3).
-    """
-    from scipy.optimize import minimize
-
-    ep = exponents(N, q)
-    gam = ep.gamma_q
-    g = make_grid(N, 25.0, 500, grading="graded", strength=1.5)
-    K = g.stiffness  # P1 Dirichlet form: no null modes for the optimizer to hide in
-    w = g.omega_N * g.weights
-
-    def fun_and_grad(x):
-        Kx = _stiff_apply(K, x)
-        A = _dot(x, Kx)
-        B2 = _dot(w, x * x)
-        absx = np.abs(x)
-        Bq = _dot(w, absx ** q)
-        J = (gam * q / 2.0) * math.log(A) + ((1.0 - gam) * q / 2.0) \
-            * math.log(B2) - math.log(Bq)
-        gA = 2.0 * Kx
-        gB2 = 2.0 * w * x
-        gBq = q * w * absx ** (q - 2.0) * x
-        grad = (gam * q / 2.0) * gA / A + ((1.0 - gam) * q / 2.0) * gB2 / B2 \
-            - gBq / Bq
-        # The quotient is exactly invariant under amplitude scaling u -> a u
-        # on the fixed grid; pin that flat direction with a penalty that
-        # vanishes on the slice B2 = 1 (every amplitude orbit meets it, so
-        # the minimum value is untouched).
-        lB = math.log(B2)
-        J += 0.5 * lB * lB
-        grad += lB * gB2 / B2
-        return J, grad
-
-    opts = dict(maxiter=4000, maxfun=4000, maxcor=30, ftol=1e-16, gtol=1e-12)
-    res = minimize(fun_and_grad, np.exp(-0.5 * g.nodes), jac=True,
-                   method="L-BFGS-B", options=opts)
-    return math.exp(-float(res.fun) / q)
 
 
 # ----------------------------------------------------------------------------

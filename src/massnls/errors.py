@@ -12,6 +12,18 @@ Two broad families, matching the CLI exit-code contract:
 
 from __future__ import annotations
 
+__all__ = [
+    "MassNLSError",
+    "ParameterError",
+    "HypothesisError",
+    "NumericalError",
+    "ResolutionError",
+    "BracketError",
+    "ConvergenceError",
+    "NoCriticalPointError",
+    "ScanExhaustedError",
+]
+
 
 class MassNLSError(Exception):
     """Base class for everything raised deliberately by this package."""

@@ -58,7 +58,6 @@ __all__ = [
     "fiber_second_derivative",
     "h_weight",
     "dilation_gap",
-    "dilation_gap_closed_form",
     "GeneralNonlinearity",
     "power_nonlinearity",
     "pohozaev_general",
@@ -333,15 +332,6 @@ def dilation_gap(u, p, t):
         - (1.0 - t * t) / 2.0 * fiber_derivative(nb, p, 1.0)
         - h_weight(p, t) * nb.lcrit
     )
-
-
-def dilation_gap_closed_form(u, p, t):
-    """The same defect via its algebraic identity mu ||u||_q^q psi(t)."""
-    t = _check_t(t)
-    nb = coerce_bundle(u, p)
-    qg = p.q * p.gamma_q
-    psi = (t ** qg - 1.0) / p.q + p.gamma_q * (1.0 - t * t) / 2.0
-    return p.mu * nb.lq * psi
 
 
 # ----------------------------------------------------------------------------

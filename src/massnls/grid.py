@@ -56,7 +56,6 @@ __all__ = [
     "norms",
     "grad_norm_sq",
     "mass",
-    "pchip_resample",
     "tail_fraction",
     "write_csv",
     "read_csv",
@@ -381,8 +380,8 @@ def make_grid(N, R_max, M, grading="uniform", strength=2.0):
     R*(i/M)**strength, clustering nodes near the origin for strength > 1.
     """
     N = _check_dimension(N)
-    if not R_max > 0.0:
-        raise ParameterError(f"R_max must be positive, got {R_max}")
+    if not 0.0 < R_max < math.inf:
+        raise ParameterError(f"R_max must be finite and positive, got {R_max}")
     if not isinstance(M, (int, np.integer)) or M < 4:
         raise ParameterError(f"M must be an integer >= 4, got {M!r}")
     x = np.linspace(0.0, 1.0, M + 1)
@@ -483,11 +482,6 @@ def _pchip(nodes, values):
         return np.where(np.isnan(vals), 0.0, vals)
 
     return evaluate
-
-
-def pchip_resample(u, target_grid):
-    """Monotone-cubic resampling of u onto another grid (zero outside)."""
-    return RadialFunction(target_grid, _pchip(u.grid.nodes, u.values)(target_grid.nodes))
 
 
 # ----------------------------------------------------------------------------

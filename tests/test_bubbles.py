@@ -39,13 +39,18 @@ from massnls.grid import (
     make_grid,
     mass,
     norms,
-    pchip_resample,
     sphere_area,
 )
 from massnls.manifold import manifold_projection
 
 from csr_oracle import stiffness_csr
-from scan_oracle import cutoff_radius_by_brentq, grid_row, grid_scan
+from scan_oracle import (
+    cutoff_radius_asymptote,
+    cutoff_radius_by_brentq,
+    grid_row,
+    grid_scan,
+    pchip_resample,
+)
 
 
 def _stiff(u):
@@ -93,6 +98,14 @@ def test_bubble_grid_is_the_sorted_union_of_its_pieces(n):
         evict = (np.abs(nodes - rb) <= 60e-10) & (nodes > 0.0) & (nodes < 60.0)
         nodes = np.sort(np.append(nodes[~evict], rb))
     assert np.array_equal(B.bubble_grid(3, n, 60, (1, 2)).nodes, nodes)
+
+
+@pytest.mark.parametrize("n, R_max", [(math.nan, 60.0), (math.inf, 60.0),
+                                      (8, math.inf), (8, math.nan)])
+def test_bubble_grid_rejects_non_finite_parameters(n, R_max):
+    # these raised ValueError, ZeroDivisionError or OverflowError
+    with pytest.raises(ParameterError):
+        B.bubble_grid(3, n, R_max, barrier_radii=(1.0,))
 
 
 def test_normalized_grid_needs_the_core_inside_the_kink():
@@ -219,42 +232,65 @@ def test_annulus_moment_is_exact_for_lebesgue_powers(N, k, a, R):
 # truncated family: dual routes and decay slopes
 # ----------------------------------------------------------------------------
 
+_NS = [10, 20, 40, 80, 160]
+
+
+def _truncated_norms(N, q):
+    """Grid and model (mass, grad_sq, lcrit, lq) of the truncated family at
+    each n of _NS as two arrays of rows; the grid ones are the P1 norms
+    (`stiff_bundle`) on one bubble grid for the largest n."""
+    g = B.bubble_grid(N, max(_NS), 2.0, barrier_radii=(1.0,))
+    p = problem(N, 1.0, 1.0, q)
+    grid, model = [], []
+    for n in _NS:
+        nb = stiff_bundle(g, B.truncated_instanton(N, n, g).values, p)
+        grid.append((nb.mass, nb.grad_sq, nb.lcrit, nb.lq))
+        model.append(B.truncated_norms_model(N, n, q))
+    return np.array(grid), np.array(model)
+
+
+def _decay_slopes(N, rows):
+    """Least-squares log-log slopes in n of mass, |grad_sq - S^(N/2)|,
+    |lcrit - S^(N/2)| and lq over _NS without its smallest n, which is
+    pre-asymptotic."""
+    S_pow = sobolev_constant(N).S_pow
+    devs = np.abs(rows[1:] - [0.0, S_pow, S_pow, 0.0])
+    slopes = np.polyfit(np.log(_NS[1:]), np.log(devs), 1)[0]
+    return dict(zip(("mass", "grad_dev", "crit_dev", "lq"), slopes))
+
+
 def test_truncated_dual_route_agreement():
     for N, q in [(3, 2.5), (4, 3.0)]:
-        tab = B.instanton_asymptotics(N, q, [10, 20, 40, 80, 160])
-        assert tab.max_model_mismatch() < 2e-5
-        for r in tab.rows:
-            assert r.mass == pytest.approx(r.mass_model, rel=1e-6)
-            assert r.lq == pytest.approx(r.lq_model, rel=1e-6)
-
-
-def test_asymptotics_table_rejects_a_fractional_n():
-    # n = 2.5 was tabulated as n = 2
-    with pytest.raises(ParameterError, match="integer >= 1"):
-        B.instanton_asymptotics(3, 4.0, [2.5, 8, 16])
+        grid, model = _truncated_norms(N, q)
+        assert np.max(np.abs(grid - model) / model) < 2e-5
+        for got, want in zip(grid, model):
+            assert got[0] == pytest.approx(want[0], rel=1e-6)  # mass
+            assert got[3] == pytest.approx(want[3], rel=1e-6)  # lq
 
 
 def test_truncated_slopes_match_theory_n3():
-    tab = B.instanton_asymptotics(3, 2.5, [10, 20, 40, 80, 160])
+    grid, model = _truncated_norms(3, 2.5)
+    slopes, model_slopes = _decay_slopes(3, grid), _decay_slopes(3, model)
     theory = {"mass": -1.0, "grad_dev": -1.0, "crit_dev": -3.0, "lq": -1.25}
     for key, want in theory.items():
-        assert abs(tab.slopes[key] - want) < 0.3, (key, tab.slopes[key])
-        assert abs(tab.model_slopes[key] - want) < 0.3
-        assert abs(tab.slopes[key] - tab.model_slopes[key]) < 0.15
+        assert abs(slopes[key] - want) < 0.3, (key, slopes[key])
+        assert abs(model_slopes[key] - want) < 0.3
+        assert abs(slopes[key] - model_slopes[key]) < 0.15
 
 
 def test_truncated_slopes_match_theory_n4():
-    tab = B.instanton_asymptotics(4, 3.0, [10, 20, 40, 80, 160])
+    grid, model = _truncated_norms(4, 3.0)
+    slopes, model_slopes = _decay_slopes(4, grid), _decay_slopes(4, model)
     # mass picks up a log factor; the fitted slope sits above -2 but within band
     theory = {"mass": -2.0, "grad_dev": -2.0, "crit_dev": -4.0, "lq": -1.0}
     for key, want in theory.items():
-        assert abs(tab.slopes[key] - want) < 0.3, (key, tab.slopes[key])
-        assert abs(tab.model_slopes[key] - want) < 0.3
+        assert abs(slopes[key] - want) < 0.3, (key, slopes[key])
+        assert abs(model_slopes[key] - want) < 0.3
 
 
 def test_truncated_mass_slope_n5():
-    tab = B.instanton_asymptotics(5, 3.0, [10, 20, 40, 80, 160])
-    assert abs(tab.slopes["mass"] - (-2.0)) < 0.3
+    grid, _ = _truncated_norms(5, 3.0)
+    assert abs(_decay_slopes(5, grid)["mass"] - (-2.0)) < 0.3
 
 
 # ----------------------------------------------------------------------------
@@ -279,10 +315,10 @@ def test_cutoff_radius_asymptote_ratio():
     # convergence is slow (the matching radius is only n^(-1/9) below R_n for
     # N=3) but by n = 1e3 the ratio is inside 10% once c clears the core mass
     R = B.solve_cutoff_radius(3, 100.0, 1000)
-    ratio = R / B.cutoff_radius_asymptote(3, 100.0, 1000)
+    ratio = R / cutoff_radius_asymptote(3, 100.0, 1000)
     assert 0.90 < ratio < 1.10
     R4 = B.solve_cutoff_radius(4, 1.0, 256)
-    assert 0.90 < R4 / B.cutoff_radius_asymptote(4, 1.0, 256) < 1.10
+    assert 0.90 < R4 / cutoff_radius_asymptote(4, 1.0, 256) < 1.10
 
 
 def test_cutoff_radius_monotone_in_mass():
@@ -308,6 +344,19 @@ def test_normalized_family_existence_bounds():
     assert R > 10312.0 ** (2.0 / 3.0)
     with pytest.raises(BracketError):
         B.solve_cutoff_radius(3, 1.0, 10311)
+
+
+@pytest.mark.parametrize("N", [3, 4])
+def test_family_min_n_is_the_least_n_the_cutoff_solve_accepts(N):
+    # the core mass at n is the family's boundary mass c; at N = 3 an n^(5/3)
+    # core mass rounded above the solve's n * n^(2/3) one, so the bound said
+    # 20001 while the solve accepted 20000
+    c = B.core_mass(N, 20000)
+    assert type(c) is float
+    assert B.normalized_family_min_n(N, c) == 20001
+    with pytest.raises(BracketError):
+        B.solve_cutoff_radius(N, c, 20000)
+    assert B.solve_cutoff_radius(N, c, 20001) > 20001.0 ** (2.0 / 3.0)
 
 
 def test_cutoff_rejects_bad_mass():

@@ -13,8 +13,8 @@ from massnls.functionals import (
     EnergyReport,
     GeneralNonlinearity,
     NormBundle,
+    coerce_bundle,
     dilation_gap,
-    dilation_gap_closed_form,
     energy,
     energy_report,
     fiber_derivative,
@@ -309,6 +309,14 @@ def test_dilation_gap_vanishes_without_subcritical_term():
     scale = 1.0 + abs(energy(u, p))
     for t in (0.25, 3.0, 8.0):
         assert abs(dilation_gap(u, p, t)) <= 1e-12 * scale
+
+
+def dilation_gap_closed_form(u, p, t):
+    """The defect of the dilation comparison by its algebraic identity
+    mu ||u||_q^q psi(t): the oracle of `dilation_gap`."""
+    qg = p.q * p.gamma_q
+    psi = (t ** qg - 1.0) / p.q + p.gamma_q * (1.0 - t * t) / 2.0
+    return p.mu * coerce_bundle(u, p).lq * psi
 
 
 def test_dilation_gap_nonnegative_and_matches_closed_form():

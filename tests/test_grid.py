@@ -36,13 +36,13 @@ from massnls.grid import (
     _row_dots,
     _stiff_apply,
     _volume_weights,
-    pchip_resample,
     sphere_area,
     tail_fraction,
 )
 from massnls.solvers import concentration_init
 
 from csr_oracle import deriv_csr, stiffness_csr
+from scan_oracle import pchip_resample
 
 GAUSS_3D = math.pi ** 1.5  # int_{R^3} e^{-|x|^2} dx
 
@@ -348,6 +348,9 @@ def test_csv_header_required(tmp_path):
         dict(N=3, R_max=1.0, M=3),
         dict(N=3, R_max=1.0, M=64, grading="mystery"),
         dict(N=3, R_max=1.0, M=64, grading="graded", strength=0.5),
+        # inf warned in the node arithmetic, then failed the first-node check
+        dict(N=3, R_max=math.inf, M=64),
+        dict(N=3, R_max=math.nan, M=64),
     ],
 )
 def test_make_grid_rejects_bad_parameters(kwargs):

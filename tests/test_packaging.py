@@ -71,29 +71,27 @@ def _module_level_imports(tree):
             stack.extend(ast.iter_child_nodes(node))
 
 
-def test_only_manifold_imports_scipy_optimize_at_module_level():
-    # constants imports scipy.optimize inside weinstein_quotient_min, its one
-    # user; manifold's module-level brentq goes once its fiber roots take
-    # Newton in log t, and this set is then empty
+def _imports_at_any_depth(tree):
+    """Dotted names a module imports anywhere, inside functions too."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module
+            yield from (f"{node.module}.{alias.name}" for alias in node.names)
+
+
+def test_only_manifold_imports_scipy_optimize():
+    # at any depth: the cutoff radius is Newton on a positive polynomial and
+    # the GN oracle lives in the tests; manifold's module-level brentq goes
+    # once its fiber roots take Newton in log t, and this set is then empty
     found = {
         path.name
         for path in (ROOT / "src" / "massnls").rglob("*.py")
-        if any(name == "scipy.optimize" or name.startswith("scipy.optimize.")
-               for name in _module_level_imports(ast.parse(path.read_text())))
+        if any(name.split(".")[:2] == ["scipy", "optimize"]
+               for name in _imports_at_any_depth(ast.parse(path.read_text())))
     }
     assert found == {"manifold.py"}
-
-
-def test_bubbles_imports_no_scipy_optimize_at_any_depth():
-    # the cutoff radius is Newton on a positive polynomial, with no root finder
-    tree = ast.parse((ROOT / "src" / "massnls" / "bubbles.py").read_text())
-    names = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            names.update(alias.name for alias in node.names)
-        elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            names.update(f"{node.module}.{alias.name}" for alias in node.names)
-    assert not any(name.split(".")[:2] == ["scipy", "optimize"] for name in names)
 
 
 def test_no_module_imports_scipy_special_at_module_level():
@@ -139,3 +137,23 @@ def test_no_module_keeps_an_unused_module_level_import():
         and (unused := _unused_module_level_imports(ast.parse(path.read_text())))
     }
     assert found == {}
+
+
+def test_every_name_in_a_modules_all_is_bound():
+    modules = [importlib.import_module(f"massnls.{path.stem}")
+               for path in (ROOT / "src" / "massnls").glob("*.py") if path.stem != "__init__"]
+    unbound = [f"{mod.__name__}.{name}" for mod in modules for name in mod.__all__
+               if not hasattr(mod, name)]
+    assert unbound == []
+
+
+def test_the_package_exports_only_public_names_of_its_modules():
+    # massnls/__init__ re-exports; each name it imports from a module is in
+    # that module's __all__
+    tree = ast.parse((ROOT / "src" / "massnls" / "__init__.py").read_text())
+    stray = []
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            public = set(importlib.import_module(f"massnls.{node.module}").__all__)
+            stray += [f"{node.module}.{a.name}" for a in node.names if a.name not in public]
+    assert stray == []
