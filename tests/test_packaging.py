@@ -94,6 +94,23 @@ def test_only_manifold_imports_scipy_optimize():
     assert found == {"manifold.py"}
 
 
+def test_only_manifold_imports_scipy_optimize_at_module_level():
+    found = {
+        path.name
+        for path in (ROOT / "src" / "massnls").rglob("*.py")
+        if any(name.split(".")[:2] == ["scipy", "optimize"]
+               for name in _module_level_imports(ast.parse(path.read_text())))
+    }
+    assert found == {"manifold.py"}
+
+
+def test_bubbles_imports_no_scipy_optimize_at_any_depth():
+    # the cutoff radius is Newton on a positive polynomial, with no root finder
+    tree = ast.parse((ROOT / "src" / "massnls" / "bubbles.py").read_text())
+    assert not any(name.split(".")[:2] == ["scipy", "optimize"]
+                   for name in _imports_at_any_depth(tree))
+
+
 def test_no_module_imports_scipy_special_at_module_level():
     # bubbles imports betainc inside its core integral; scipy.special comes
     # loaded through manifold's scipy.optimize today, but would cost a
