@@ -27,6 +27,7 @@ while leaving the gradient and critical norms invariant.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import asdict, dataclass
@@ -92,27 +93,67 @@ def _core_nodes(n, r_end, per_decade):
     return [np.linspace(0.0, r_core, 1201), np.geomspace(r_core, r_end, m_geo + 1)[1:]]
 
 
+# The memo of `bubble_grid` keeps the last _GRID_MEMO_SIZE grids asked for.
+# The traffic it serves: a subcritical scan asks for one grid per n (at most
+# 6 distinct on the benchmark's n = 8..256), a valley-path op for one of 3
+# (n = 32, 64, 128, the same keys as the scan's), `concentration_init` for 1.
+# Those grids have 3,000-4,300 nodes and hold 100-140 KB with their
+# stiffness, 170-240 KB once the derivative is built too, so a full memo
+# stays under 2 MB.
+_GRID_MEMO_SIZE = 8
+
+
+def _finite_real(what, v):
+    """v as a float, or ParameterError unless it is a finite real number."""
+    if isinstance(v, numbers.Real):
+        try:
+            f = float(v)
+        except OverflowError:
+            f = math.inf
+        if math.isfinite(f):
+            return f
+    raise ParameterError(f"{what} must be a finite real number, got {v!r}")
+
+
 def bubble_grid(N, n, R_max, barrier_radii=()):
     """A grid resolving both the 1/n concentration core and the far field.
 
     Uniform spacing 2/(1200 n) on [0, 2/n], geometric spacing with 800
     nodes per decade beyond, with the requested kink radii inserted as
     exact nodes/barriers.
+
+    The grid is shared and immutable: arguments that agree as floats (n as
+    64, 64.0 or np.int64(64); barrier radii in any order or container) give
+    the same RadialGrid object while it stays among the last
+    `_GRID_MEMO_SIZE` grids asked for, so its stiffness is built once.
+    The arguments are checked before the memo is consulted.
     """
-    if not (math.isfinite(n) and n >= 1):
-        raise ParameterError(f"concentration parameter must be finite and >= 1, got {n}")
-    if not (math.isfinite(R_max) and R_max > 2.0 / n):
-        raise ParameterError(f"R_max = {R_max} is not finite or does not cover the core 2/n")
+    N = _check_dimension(N)
+    n = _finite_real("concentration parameter n", n)
+    R_max = _finite_real("R_max", R_max)
+    if not n >= 1:
+        raise ParameterError(f"concentration parameter must be >= 1, got {n}")
+    if not R_max > 2.0 / n:
+        raise ParameterError(f"R_max = {R_max} does not cover the core 2/n")
+    barriers = []
+    for rb in barrier_radii:
+        if not (isinstance(rb, numbers.Real) and 0.0 < rb < R_max):
+            raise ParameterError(f"kink radius {rb!r} outside (0, {R_max})")
+        barriers.append(float(rb))
+    return _bubble_grid(N, n, R_max, tuple(sorted(barriers)))
+
+
+@functools.lru_cache(maxsize=_GRID_MEMO_SIZE)
+def _bubble_grid(N, n, R_max, barriers):
+    """`bubble_grid` on checked float arguments, barriers sorted, memoized."""
     grid_nodes = np.concatenate(_core_nodes(n, R_max, per_decade=800))
     # insert kink radii as exact nodes, evicting any non-kink node that
     # would leave a degenerate cell next to them
-    for rb in barrier_radii:
-        if not (0.0 < rb < R_max):
-            raise ParameterError(f"kink radius {rb} outside (0, {R_max})")
-        tol = 1e-10 * max(1.0, R_max)
+    tol = 1e-10 * max(1.0, R_max)
+    for rb in barriers:
         evict = (np.abs(grid_nodes - rb) <= tol) & (grid_nodes > 0.0) & (grid_nodes < R_max)
         grid_nodes = np.sort(np.append(grid_nodes[~evict], rb))
-    return grid_from_nodes(N, grid_nodes, barrier_radii=tuple(sorted(barrier_radii)))
+    return grid_from_nodes(N, grid_nodes, barrier_radii=barriers)
 
 
 def _normalized_grid(N, n, R_n):
@@ -271,8 +312,9 @@ def _edge_sq(N, n, rho):
 
 
 def _core_mass(N, n, x):
-    """Mass of the instanton core out to r = x/n."""
-    return sphere_area(N) * instanton_amplitude(N) ** 2 * _xi_mass(N, x) / n ** 2
+    """Mass of the instanton core out to r = x/n.  n is taken as a float, so
+    an integer n of any type cannot wrap in n^2."""
+    return sphere_area(N) * instanton_amplitude(N) ** 2 * _xi_mass(N, x) / float(n) ** 2
 
 
 def _ramp_coeffs(N, rho, k):

@@ -179,22 +179,25 @@ def _volume_weights(N, nodes, group_bounds):
     gb = np.asarray(group_bounds)
     k = np.concatenate([np.arange(g0, g1 - 1, 2) for g0, g1 in zip(gb[:-1], gb[1:])])
     a, b, c = nodes[k], nodes[k + 1], nodes[k + 2]
-    wa, wb, wc = _pair_weights(N, a, b, c)
-    # a negative parabolic weight degrades the pair to hat weights on both
-    # of its cells
-    bad = (wa < 0.0) | (wb < 0.0) | (wc < 0.0)
-    nbad = int(np.count_nonzero(bad))
-    if nbad:
-        ha, hb = _hat_weights(N, np.concatenate([a[bad], b[bad]]),
-                              np.concatenate([b[bad], c[bad]]))
-        wa[bad], wb[bad], wc[bad] = ha[:nbad], hb[:nbad] + ha[nbad:], hb[nbad:]
-    w[k] += wa
-    w[k + 1] += wb
-    w[k + 2] += wc
-    for j in gb[1:][np.diff(gb) % 2 == 1]:
-        ha, hb = _hat_weights(N, nodes[j - 1], nodes[j])
-        w[j - 1] += ha
-        w[j] += hb
+    # a spacing whose powers under- or overflow leaves non-finite weights,
+    # which RadialGrid refuses with a ParameterError
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        wa, wb, wc = _pair_weights(N, a, b, c)
+        # a negative parabolic weight degrades the pair to hat weights on
+        # both of its cells
+        bad = (wa < 0.0) | (wb < 0.0) | (wc < 0.0)
+        nbad = int(np.count_nonzero(bad))
+        if nbad:
+            ha, hb = _hat_weights(N, np.concatenate([a[bad], b[bad]]),
+                                  np.concatenate([b[bad], c[bad]]))
+            wa[bad], wb[bad], wc[bad] = ha[:nbad], hb[:nbad] + ha[nbad:], hb[nbad:]
+        w[k] += wa
+        w[k + 1] += wb
+        w[k + 2] += wc
+        for j in gb[1:][np.diff(gb) % 2 == 1]:
+            ha, hb = _hat_weights(N, nodes[j - 1], nodes[j])
+            w[j - 1] += ha
+            w[j] += hb
     return w
 
 
@@ -267,11 +270,14 @@ def _stiff_apply(K, v):
 # grid / function containers
 # ----------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class RadialGrid:
     """Nodes and quadrature weights on [0, R_max] for dimension N.
 
-    Treat instances as immutable; the arrays are marked read-only.
+    Instances are immutable: the dataclass is frozen and the arrays are
+    read-only, so one grid can be shared by every caller that asks for the
+    same node set (`bubbles.bubble_grid` hands out memoized grids), and the
+    lazily built `deriv` and `stiffness` are built once per grid.
     ``weights`` are the nodal volume weights *without* the omega_N factor:
     integrate(v) = omega_N * _dot(weights, v), the single-core weighted sum.
     """
@@ -284,19 +290,27 @@ class RadialGrid:
     _stiffness: object = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        self.N = _check_dimension(self.N)
-        self.nodes = np.ascontiguousarray(self.nodes, dtype=float)
-        self.weights = np.ascontiguousarray(self.weights, dtype=float)
-        if self.nodes.ndim != 1 or len(self.nodes) < 5:
+        nodes = np.ascontiguousarray(self.nodes, dtype=float)
+        weights = np.ascontiguousarray(self.weights, dtype=float)
+        object.__setattr__(self, "N", _check_dimension(self.N))
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "weights", weights)
+        if nodes.ndim != 1 or len(nodes) < 5:
             raise ParameterError("grid needs at least 5 nodes")
-        if self.nodes[0] != 0.0:
+        if nodes[0] != 0.0:
             raise ParameterError("first node must be r = 0")
-        if not np.all(np.diff(self.nodes) > 0.0):
+        if not np.all(np.diff(nodes) > 0.0):
             raise ParameterError("nodes must be strictly increasing")
-        if self.weights.shape != self.nodes.shape:
+        if weights.shape != nodes.shape:
             raise ParameterError("weights/nodes shape mismatch")
-        self.nodes.setflags(write=False)
-        self.weights.setflags(write=False)
+        bad = np.count_nonzero(~np.isfinite(weights))
+        if bad:
+            raise ParameterError(
+                f"{bad} of {len(weights)} quadrature weights are not finite; "
+                f"the node spacing under- or overflows"
+            )
+        nodes.setflags(write=False)
+        weights.setflags(write=False)
 
     @property
     def R_max(self):
@@ -316,8 +330,9 @@ class RadialGrid:
         """Lazily built read-only (n, 3) coefficients of the 3-point
         finite-difference derivative; `_deriv_apply` applies them."""
         if self._deriv is None:
-            self._deriv = _derivative_stencil(self.nodes)
-            self._deriv.setflags(write=False)
+            D = _derivative_stencil(self.nodes)
+            D.setflags(write=False)
+            object.__setattr__(self, "_deriv", D)
         return self._deriv
 
     @property
@@ -343,7 +358,7 @@ class RadialGrid:
             off = -kappa
             main.setflags(write=False)
             off.setflags(write=False)
-            self._stiffness = (main, off)
+            object.__setattr__(self, "_stiffness", (main, off))
         return self._stiffness
 
     def same_layout(self, other):

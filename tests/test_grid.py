@@ -1,6 +1,7 @@
 """Quadrature, norm and finite-difference contracts of the radial grid."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -407,6 +408,20 @@ def test_grid_operators_are_read_only():
     for arr, idx in ((main, 0), (off, 0), (g.deriv, (0, 0))):
         with pytest.raises(ValueError, match="read-only"):
             arr[idx] = 1.0
+
+
+@pytest.mark.parametrize("build", [
+    lambda: bubble_grid(3, 1e200, 60.0),
+    lambda: make_grid(3, 1e-200, 10),
+], ids=["bubble_1e200", "uniform_1e-200"])
+def test_grid_with_non_finite_weights_is_refused(build):
+    # the node spacing underflows in the weight moments: these returned grids
+    # with 33,490 and 11 NaN weights and only a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(2):
+            with pytest.raises(ParameterError, match="weights are not finite"):
+                build()
 
 
 @pytest.mark.parametrize("case", ["bubble", "kink"])

@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from massnls import functionals, solvers
+from massnls import bubbles, functionals, solvers
 from massnls.bubbles import (
     _build_cross,
     _superposition_bundle,
@@ -744,6 +744,23 @@ def test_path_level_is_the_path_maximum(n):
     dense = grid_max(np.geomspace(1e-3, 1e3, 4000))
     assert mp.level_estimate >= dense - 1e-12 * abs(dense)
     assert mp.level_estimate >= grid_max(np.concatenate([[0.0], np.geomspace(1e-3, 1e3, 400)]))
+
+
+def test_valley_path_op_is_the_same_from_a_cold_and_a_warm_memo():
+    # one op of the benchmark's valley_path workload (n = 64, c = c0/2):
+    # the second op gets the memoized grid with its stiffness already built
+    def op():
+        p = problem(3, C_HALF, 1.0, 2.5)
+        g = bubble_grid(3, 64, 60.0, barrier_radii=(1.0, 2.0))
+        init = normalize_mass(RadialFunction(g, np.exp(-((g.nodes / 3.0) ** 2))), p.c)
+        valley = local_minimize(p, init)
+        path = mountain_pass_path(p, valley.u, truncated_instanton(3, 64, g))
+        return float(valley.energy_report.phi).hex(), float(path.level_estimate).hex()
+
+    bubbles._bubble_grid.cache_clear()
+    cold = op()
+    assert op() == cold
+    assert bubbles._bubble_grid.cache_info().hits == 1
 
 
 def test_path_rejects_profiles_on_different_grids():
