@@ -25,6 +25,7 @@ psi(t) = (t^{q gamma_q}-1)/q + gamma_q (1-t^2)/2 >= 0 for q >= 2+4/N.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -250,13 +251,23 @@ def lagrange_multiplier(u, p):
 
 def fiber_scale(u, t):
     """The mass-preserving dilation u_t(x) = t^(N/2) u(t x), resampled onto
-    u's own grid by monotone cubic interpolation (zero outside the support).
+    u's own grid by `grid._pchip`, the monotone cubic (PCHIP) interpolant,
+    which is 0 beyond the grid's last node.
+
+    t must be positive and finite, with t^(N/2) finite; any other t raises
+    ParameterError.
     """
-    if not t > 0.0:
-        raise ParameterError(f"dilation parameter must be positive, got {t}")
+    if not 0.0 < t < math.inf:
+        raise ParameterError(f"dilation parameter must be positive and finite, got {t}")
     g = u.grid
+    try:
+        amplitude = math.pow(t, g.N / 2.0)
+    except OverflowError:
+        raise ParameterError(
+            f"dilation parameter t = {t} overflows t^(N/2) at N = {g.N}"
+        ) from None
     vals = _pchip(g.nodes, u.values)(t * g.nodes)
-    return RadialFunction(g, t ** (g.N / 2.0) * vals)
+    return RadialFunction(g, amplitude * vals)
 
 
 def fiber_energy(nb, p, t):
@@ -454,7 +465,12 @@ def _tangential_residual(dual, v, W, m):
 
 
 def normalize_mass(u, c):
-    """Rescale amplitudes so that ||u||_2^2 = c (exactly, up to roundoff)."""
+    """Rescale amplitudes so that ||u||_2^2 = c (exactly, up to roundoff).
+
+    c must be positive and finite, else ParameterError.
+    """
+    if not 0.0 < c < math.inf:
+        raise ParameterError(f"target mass must be positive and finite, got {c}")
     m = mass(u)
     if m <= 0.0:
         raise ParameterError("cannot normalize the zero profile")

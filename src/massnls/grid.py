@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import NumericalError, ParameterError
 
 __all__ = [
     "RadialGrid",
@@ -270,14 +270,15 @@ def _stiff_apply(K, v):
 # grid / function containers
 # ----------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RadialGrid:
     """Nodes and quadrature weights on [0, R_max] for dimension N.
 
     Instances are immutable: the dataclass is frozen and the arrays are
     read-only, so one grid can be shared by every caller that asks for the
     same node set (`bubbles.bubble_grid` hands out memoized grids), and the
-    lazily built `deriv` and `stiffness` are built once per grid.
+    lazily built `deriv` and `stiffness` are built once per grid.  Grids
+    compare and hash by identity; `same_layout` compares node sets.
     ``weights`` are the nodal volume weights *without* the omega_N factor:
     integrate(v) = omega_N * _dot(weights, v), the single-core weighted sum.
     """
@@ -286,8 +287,8 @@ class RadialGrid:
     nodes: np.ndarray
     weights: np.ndarray
     barriers: tuple = ()
-    _deriv: object = field(default=None, repr=False, compare=False)
-    _stiffness: object = field(default=None, repr=False, compare=False)
+    _deriv: object = field(default=None, repr=False)
+    _stiffness: object = field(default=None, repr=False)
 
     def __post_init__(self):
         nodes = np.ascontiguousarray(self.nodes, dtype=float)
@@ -483,18 +484,79 @@ def tail_fraction(u):
     return _dot(g.weights[sel], np.abs(u.values[sel]) ** 2) / total
 
 
-def _pchip(nodes, values):
-    """The monotone-cubic interpolant of (nodes, values) as a function of the
-    radii, zero outside [nodes[0], nodes[-1]]."""
-    from scipy.interpolate import PchipInterpolator
+def _pchip_end_slope(h0, h1, m0, m1):
+    """The one-sided three-point slope at an end of a PCHIP (Moler), set to
+    0 or 3 m0 where it would break the shape of the end cell."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
 
-    # flat zero tails trip harmless overflow warnings in the slope formula
+
+def _pchip(nodes, values):
+    """The monotone-cubic (PCHIP) interpolant of (nodes, values) as a
+    function of the radii, zero outside [nodes[0], nodes[-1]] and at NaN.
+
+    It is scipy's `PchipInterpolator(nodes, values, extrapolate=False)` with
+    NaN mapped to 0, to the bit: the same operations in the same order.
+    The slopes are Fritsch-Butland's, a weighted harmonic mean of the two
+    cell slopes (0 where they differ in sign or one is 0) with Moler's
+    one-sided ends; the cubic Hermite coefficients of cell i are
+    c0..c3 (c3 = values[i]), and a radius r in it takes the power sum
+    c3 + c2 s + c1 s^2 + c0 s^3 in s = r - nodes[i].  The cell of r has
+    nodes[i] <= r < nodes[i+1], the last cell closed.  np.interp on the
+    node indices finds it with a search that starts from the previous
+    radius's cell, so sorted radii cost O(1) each; the floor of that
+    fractional index can round up to i + 1 just below nodes[i+1], and one
+    comparison takes it back.
+
+    nodes must be finite and strictly increasing (a grid's nodes), at
+    least three.  Non-finite values raise ParameterError, slopes that
+    overflow NumericalError, where scipy raises ValueError.
+    """
+    x = np.ascontiguousarray(nodes, dtype=float)
+    y = np.ascontiguousarray(values, dtype=float)
+    if not np.all(np.isfinite(y)):
+        raise ParameterError("profile values to interpolate must be finite")
+    # a zero cell slope (flat zero tails) divides by zero in the harmonic
+    # mean, whose value is then not used; a tiny one overflows it, which
+    # gives the slope 0 as in scipy
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        interp = PchipInterpolator(nodes, values, extrapolate=False)
+        h = np.diff(x)
+        m = (y[1:] - y[:-1]) / h
+        sm = np.sign(m)
+        flat = (sm[1:] != sm[:-1]) | (m[1:] == 0) | (m[:-1] == 0)
+        w1 = 2 * h[1:] + h[:-1]
+        w2 = h[1:] + 2 * h[:-1]
+        whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+        d = np.empty_like(y)
+        d[1:-1] = np.where(flat, 0.0, 1.0 / whmean)
+        d[0] = _pchip_end_slope(h[0], h[1], m[0], m[1])
+        d[-1] = _pchip_end_slope(h[-1], h[-2], m[-1], m[-2])
+        if not np.all(np.isfinite(d)):
+            raise NumericalError("PCHIP slopes of the profile overflow")
+        t = (d[:-1] + d[1:] - 2 * m) / h
+        c0 = t / h
+        c1 = (m - d[:-1]) / h - t
+    c2 = d[:-1]
+    # scipy's power sum starts from 0.0, which turns a value -0.0 into 0.0
+    c3 = 0.0 + y[:-1]
+    index = np.arange(len(x), dtype=float)
+    last = len(x) - 2
 
     def evaluate(radii):
-        vals = interp(radii)
-        return np.where(np.isnan(vals), 0.0, vals)
+        r = np.asarray(radii, dtype=float)
+        inside = (r >= x[0]) & (r <= x[-1])
+        r = np.where(inside, r, x[0])
+        i = np.interp(r, x, index).astype(np.intp)
+        i -= x[i] > r
+        np.minimum(i, last, out=i)
+        s = r - x[i]
+        s2 = s * s
+        vals = c3[i] + c2[i] * s + c1[i] * s2 + c0[i] * (s2 * s)
+        return np.where(inside & ~np.isnan(vals), vals, 0.0)
 
     return evaluate
 

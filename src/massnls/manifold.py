@@ -154,7 +154,15 @@ def _brent(h, s_lo, s_hi, sign_lo):
 
 
 def _roots(nb, p):
-    """The positive roots of g in increasing t, from closed-form brackets."""
+    """The positive roots of g in increasing t, from closed-form brackets.
+
+    A generator: each root's Brent solve runs only when the caller asks for
+    that root, so a caller that stops at the first root below q = 2+4/N
+    (the fiber minimum, `_fiber_minimum`) never solves for the second.
+    Everything before the first root -- the checks of the coefficients, the
+    no-root test, the one-term cases, the degenerate and the underflow
+    tests at the maximum of h -- runs on the first request.
+    """
     a, b = nb.grad_sq, nb.lcrit
     A = p.mu * p.gamma_q * nb.lq
     e1 = p.q * p.gamma_q - 2.0
@@ -174,12 +182,13 @@ def _roots(nb, p):
 
     if p.mass_critical:
         if a <= A or b == 0.0:
-            return []
-        return [_exp(_log_level(1.0, a - A, b, e2))]
+            return
+        yield _exp(_log_level(1.0, a - A, b, e2))
+        return
 
     if p.q > p.q_bar:
         if a == 0.0:
-            return []
+            return
         terms = [(c, e) for c, e in ((A, e1), (b, e2)) if c > 0.0]
         # at t_lo each of the n terms is at most 0.8a/n, so h >= a/5; at
         # t_hi one term alone is 1.1a, so h <= -a/10: strict signs, with
@@ -192,27 +201,31 @@ def _roots(nb, p):
                 "the root of the fiber derivative lies beyond the "
                 "floating-point range"
             )
-        return [root]
+        yield root
+        return
 
     # q < 2+4/N: with one term, h is monotone and its root closed form
     if a == 0.0:
-        return []
+        return
     if A == 0.0 or b == 0.0:
         s = _log_level(1.0, a, b, e2) if A == 0.0 else _log_level(1.0, a, A, e1)
-        return [math.exp(s)] if _LOG_MIN < s < _LOG_MAX else []
+        if _LOG_MIN < s < _LOG_MAX:
+            yield math.exp(s)
+        return
     # with both, h rises from -inf to one maximum at t* and falls back to
     # -inf; there b e2 t*^e2 = A (-e1) t*^e1, so a - h(t*) =
     # A t*^e1 (e2 - e1)/e2, compared with a in log space
     s_star = (math.log(A * -e1) - math.log(b * e2)) / (e2 - e1)
     log_drop = math.log(A * (e2 - e1) / e2) + e1 * s_star
     if log_drop > math.log(a):
-        return []
+        return
     if _LOG_MIN < s_star < _LOG_MAX:
         t_star = math.exp(s_star)
         # g'(t*) = h(t*): within the classification tolerance of 0 the two
         # roots merge into one degenerate point
         if _classify(nb, p, t_star) == "zero":
-            return [t_star]
+            yield t_star
+            return
         if not fiber_derivative(nb, p, t_star) > 0.0:
             raise NumericalError(
                 f"fiber derivative underflowed at the maximum of h, "
@@ -220,11 +233,11 @@ def _roots(nb, p):
             )
     # at each outer end one term alone is 1.1a, so h <= -a/10
     h = _log_h(a, A, b, e1, e2)
-    roots = (
-        _brent(h, _log_level(1.1, a, A, e1), s_star, -1.0),
-        _brent(h, s_star, _log_level(1.1, a, b, e2), 1.0),
-    )
-    return [r for r in roots if r is not None]
+    for s_lo, s_hi, sign_lo in ((_log_level(1.1, a, A, e1), s_star, -1.0),
+                                (s_star, _log_level(1.1, a, b, e2), 1.0)):
+        root = _brent(h, s_lo, s_hi, sign_lo)
+        if root is not None:
+            yield root
 
 
 def fiber_critical_points(u, p):
@@ -241,7 +254,7 @@ def fiber_critical_points(u, p):
     cannot be represented and is left out.
     """
     nb = coerce_bundle(u, p)
-    roots = _roots(nb, p)
+    roots = list(_roots(nb, p))
     if not roots and not p.mass_subcritical:
         raise NoCriticalPointError(
             "the fiber derivative has no positive root; for q >= 2+4/N this "
@@ -252,6 +265,23 @@ def fiber_critical_points(u, p):
         FiberCriticalPoint(r, _classify(nb, p, r), float(fiber_energy(nb, p, r)))
         for r in roots
     ]
+
+
+def _fiber_minimum(u, p):
+    """The fiber's local minimum for q < 2+4/N: the first 'plus' point of
+    `fiber_critical_points`, or None when it has none.
+
+    The roots come from `_roots` one at a time and stop at the first 'plus'
+    one.  When the fiber has two roots that is the first, the point on P+,
+    so its one Brent solve on [t(A t^e1 = 1.1a), t*] is the only one: the
+    P- root is solved only if the first root is not a minimum.  Bad norms
+    raise what `fiber_critical_points` raises.
+    """
+    nb = coerce_bundle(u, p)
+    for r in _roots(nb, p):
+        if _classify(nb, p, r) == "plus":
+            return FiberCriticalPoint(r, "plus", float(fiber_energy(nb, p, r)))
+    return None
 
 
 def manifold_projection(u, p):

@@ -51,7 +51,7 @@ from .functionals import (
     normalize_mass,
 )
 from .grid import RadialFunction, _dot, make_grid, mass
-from .manifold import fiber_critical_points, manifold_projection
+from .manifold import _fiber_minimum, manifold_projection
 from .bubbles import _T_GRID, _build_cross, _sup_over_t, bubble_grid, truncated_instanton
 
 __all__ = [
@@ -488,14 +488,6 @@ def concentration_init(p, grid=None, seed=0):
 # ----------------------------------------------------------------------------
 # local minimizer in V(c)
 # ----------------------------------------------------------------------------
-
-def _fiber_minimum(nb, p):
-    """The fiber's local minimum (its 'plus' critical point, on P+), or None."""
-    for pt in fiber_critical_points(nb, p):
-        if pt.second_derivative_sign == "plus":
-            return pt
-    return None
-
 
 def local_minimize(p, init, opts=None):
     """The local minimum inside V(c), by descent of the fiber-minimum envelope.

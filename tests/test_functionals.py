@@ -203,6 +203,15 @@ def test_fiber_scale_rejects_nonpositive_t():
             fiber_scale(u, t)
 
 
+@pytest.mark.parametrize("t", [math.inf, math.nan, 1e250, 1e308])
+def test_fiber_scale_rejects_non_finite_t_and_an_overflowing_amplitude(t):
+    # at N = 3 the amplitude t^(3/2) overflows from t ~ 3.2e205 on
+    g = _grid(M=256)
+    u = _gauss(g, [(1.0, 2.0)])
+    with pytest.raises(ParameterError):
+        fiber_scale(u, t)
+
+
 def test_fiber_energy_consistent_with_energy_at_t_one():
     g = _grid()
     u = _gauss(g, [(1.3, 2.0), (0.4, 0.7)])
@@ -394,3 +403,11 @@ def test_normalize_mass():
     assert mass(v) == pytest.approx(2.5, rel=1e-14)
     with pytest.raises(ParameterError):
         normalize_mass(u.with_values(np.zeros_like(u.values)), 1.0)
+
+
+@pytest.mark.parametrize("c", [0.0, -1.0, math.nan, math.inf, -math.inf])
+def test_normalize_mass_rejects_a_target_outside_zero_to_inf(c):
+    g = _grid(M=64)
+    u = _gauss(g, [(0.7, 1.1)])
+    with pytest.raises(ParameterError):
+        normalize_mass(u, c)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from massnls import (
+    NumericalError,
     ParameterError,
     RadialFunction,
     grad_norm_sq,
@@ -26,7 +27,7 @@ from massnls.bubbles import (
     solve_cutoff_radius,
     truncated_instanton,
 )
-from massnls.functionals import problem
+from massnls.functionals import fiber_scale, problem
 from massnls.grid import (
     _DOT_BLOCK,
     _deriv_apply,
@@ -34,6 +35,7 @@ from massnls.grid import (
     _hat_weights,
     _moments,
     _pair_weights,
+    _pchip,
     _row_dots,
     _stiff_apply,
     _volume_weights,
@@ -319,6 +321,96 @@ def test_pchip_resample_mass_drift():
     fine = make_grid(3, 12.0, 1024, grading="graded", strength=2.0)
     v = pchip_resample(u, fine)
     assert norms(v, 2) == pytest.approx(norms(u, 2), rel=1e-6)
+
+
+def _scipy_pchip(nodes, values, radii):
+    """The oracle of `grid._pchip`: scipy's PCHIP without extrapolation,
+    with NaN mapped to 0."""
+    from scipy.interpolate import PchipInterpolator
+
+    # flat zero tails trip harmless divide warnings in scipy's slopes
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        vals = PchipInterpolator(nodes, values, extrapolate=False)(radii)
+    return np.where(np.isnan(vals), 0.0, vals)
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+_PCHIP_GRIDS = {
+    "uniform": lambda: make_grid(3, 10.0, 300),
+    "graded": lambda: make_grid(4, 60.0, 2500, grading="graded"),
+    "bubble": lambda: bubble_grid(3, 64, 60.0, barrier_radii=(1.0, 2.0)),
+    "random": lambda: grid_from_nodes(3, np.concatenate(
+        [[0.0], np.cumsum(np.random.default_rng(5).exponential(size=400))])),
+}
+
+
+@pytest.mark.parametrize("kind", list(_PCHIP_GRIDS))
+def test_pchip_is_scipys_pchip_to_the_bit(kind):
+    g = _PCHIP_GRIDS[kind]()
+    x, n = g.nodes, len(g.nodes)
+    rng = np.random.default_rng(1)
+    flat = rng.standard_normal(n)
+    flat[: n // 5] = 0.0
+    flat[n // 2:] = 0.0
+    profiles = {
+        "signed": rng.standard_normal(n),
+        "oscillating": np.cos(3.0 * x) * np.exp(-0.1 * x),
+        "flat zero head and tail": flat,
+        # exp(-(r/2)^2) is exactly 0 beyond r ~ 55: a flat zero tail
+        "gaussian": np.exp(-((x / 2.0) ** 2)),
+        "monotone": np.sqrt(x),
+    }
+    R = x[-1]
+    radii = np.concatenate([
+        x,
+        np.nextafter(x, -np.inf),      # just below a node, where np.interp's
+        np.nextafter(x, np.inf),       # fractional index can round up
+        0.5 * (x[1:] + x[:-1]),
+        rng.uniform(-0.1 * R, 1.1 * R, 2000),
+        [x[0], -0.0, x[-1], -1.0, 2.0 * R, np.nan, np.inf, -np.inf],
+    ])
+    for name, y in profiles.items():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            interp = _pchip(x, y)
+            got = interp(radii)
+        assert np.array_equal(_bits(got), _bits(_scipy_pchip(x, y, radii))), name
+        # the re-centering dilations: fiber_scale samples at t r_i
+        u = RadialFunction(g, y)
+        for t in (0.5, 0.97, 1.0 - 1e-12, 1.0 + 1e-12, 1.03, 2.0):
+            want = t ** (g.N / 2.0) * _scipy_pchip(x, y, t * x)
+            assert np.array_equal(_bits(fiber_scale(u, t).values), _bits(want)), (name, t)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_pchip_refuses_non_finite_values(bad):
+    g = make_grid(3, 1.0, 16)
+    y = np.ones(len(g.nodes))
+    y[7] = bad
+    with pytest.raises(ParameterError):
+        _pchip(g.nodes, y)
+
+
+def test_pchip_refuses_slopes_that_overflow():
+    # the cell slope -2e308/h is -inf, and the end slope 3 m0 overflows
+    g = make_grid(3, 1.0, 16)
+    y = np.zeros(len(g.nodes))
+    y[1:3] = 1e308, -1e308
+    with pytest.raises(NumericalError):
+        _pchip(g.nodes, y)
+
+
+def test_grids_compare_and_hash_by_identity():
+    g1, g2 = make_grid(3, 1.0, 16), make_grid(3, 1.0, 16)
+    assert g1 != g2
+    assert not g1 == g2
+    assert g1 == g1
+    assert g1.same_layout(g2)
+    assert {g1, g2, g1} == {g1, g2}
+    assert len({g1, g2}) == 2
 
 
 def test_csv_roundtrip_identical_bytes(tmp_path):

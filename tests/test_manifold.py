@@ -1,5 +1,7 @@
 """Tests for fiber critical points and the constraint-manifold energy."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -26,6 +28,7 @@ from massnls.functionals import (
 )
 from massnls.manifold import (
     FiberCriticalPoint,
+    _fiber_minimum,
     fiber_critical_points,
     manifold_energy,
     manifold_projection,
@@ -315,6 +318,95 @@ def test_root_beyond_the_float_range_raises():
     p = problem(3, 1.0, 1.0, 10.0 / 3.0 + 1e-9)
     with pytest.raises(NoCriticalPointError, match="floating-point range"):
         fiber_critical_points((0.9999 * p.gamma_q, 1.0, 1.0), p)
+
+
+# ----------------------------------------------------------------------------
+# the fiber minimum on its own
+# ----------------------------------------------------------------------------
+
+def _first_plus(nb, p):
+    """The 'plus' entry of fiber_critical_points, or None: the fiber minimum
+    as the valley descent took it when it solved for every root."""
+    return next((pt for pt in fiber_critical_points(nb, p)
+                 if pt.second_derivative_sign == "plus"), None)
+
+
+def _bits(pt):
+    return None if pt is None else (pt.t.hex(), pt.second_derivative_sign, pt.value.hex())
+
+
+# norms over sixty decades and 0.  Beyond about 1e+-30 the 'minus' root can
+# lie past t ~ 1e51, where `fiber_critical_points` overflows valuing it in t,
+# while the fiber minimum never values that root: there is no oracle there
+_NORM = st.one_of(st.just(0.0), st.floats(-30.0, 30.0).map(lambda e: 10.0 ** e))
+# q = 2 + f 4/N: f in the bulk, or within 1e-5..1e-11 of 1, where a root
+# falls beyond the floating-point range
+_FRACTION = st.one_of(st.floats(0.01, 0.99), st.floats(5.0, 11.0).map(lambda k: 1.0 - 10.0 ** -k))
+
+
+@given(a=_NORM, d=_NORM, b=_NORM, mu=st.one_of(st.just(0.0), st.floats(1e-3, 1e3)),
+       N=st.sampled_from([3, 4, 5, 6]), f=_FRACTION)
+@example(a=1.0, d=1.0, b=1.0, mu=1.0, N=3, f=0.375)     # two roots, q = 2.5
+@example(a=1.0, d=_tangency_d(), b=1.0, mu=1.0, N=3, f=0.375)  # degenerate t*
+@example(a=1.0, d=100.0, b=1.0, mu=1.0, N=3, f=0.375)   # no root
+@example(a=1.0, d=1.0, b=1.0, mu=0.0, N=3, f=0.375)     # A = 0: one 'minus' root
+@example(a=1.0, d=1.0, b=0.0, mu=1.0, N=3, f=0.375)     # b = 0: one 'plus' root
+@example(a=0.0, d=1.0, b=1.0, mu=1.0, N=3, f=0.375)     # a = 0: no root
+@example(a=1.0, d=1e-8, b=1.0, mu=1.0, N=3, f=0.375)    # 'plus' root near t = 1.6e-7
+# the 'plus' root near t = exp(-3.4e5), beyond the floating-point range
+@example(a=1.0, d=1.0, b=1.0, mu=1.0, N=3, f=1.0 - 7.5e-7)
+@settings(max_examples=300, deadline=None)
+def test_fiber_minimum_is_the_plus_point_of_fiber_critical_points(a, d, b, mu, N, f):
+    p = problem(N, 1.0, mu, 2.0 + f * 4.0 / N)
+    assert p.mass_subcritical
+    nb = NormBundle(1.0, a, d, b)
+    try:
+        want = _bits(_first_plus(nb, p))
+    except Exception as exc:
+        # the same error, e.g. an OverflowError classifying the first root in t
+        with pytest.raises(type(exc)) as got:
+            _fiber_minimum(nb, p)
+        assert str(got.value) == str(exc)
+        return
+    assert _bits(_fiber_minimum(nb, p)) == want
+    assert _bits(_fiber_minimum((a, d, b), p)) == want
+
+
+def test_fiber_minimum_solves_one_root_where_the_fiber_has_two(monkeypatch):
+    p = problem(3, 1.0, 1.0, 2.5)
+    nb = NormBundle(1.0, 1.0, 0.1, 1.0)
+    calls = []
+    original = manifold_mod.brentq
+
+    def brentq(f, s_lo, s_hi, **kwargs):
+        calls.append((s_lo, s_hi))
+        return original(f, s_lo, s_hi, **kwargs)
+
+    monkeypatch.setattr(manifold_mod, "brentq", brentq)
+    assert len(fiber_critical_points(nb, p)) == 2
+    assert len(calls) == 2
+    calls.clear()
+    pt = _fiber_minimum(nb, p)
+    assert pt.second_derivative_sign == "plus"
+    # one solve, on the left bracket, which ends at t*
+    assert len(calls) == 1
+    assert math.exp(calls[0][0]) < pt.t < math.exp(calls[0][1])
+
+
+@pytest.mark.parametrize("norms, error", [
+    ((1.0, -0.5, 1.0), ParameterError),
+    ((-1.0, 0.5, 1.0), ParameterError),
+    ((1.0, 0.5, float("nan")), NumericalError),
+    ((float("inf"), 0.5, 1.0), NumericalError),
+    ((1.0, 0.0, 0.0), NoCriticalPointError),
+])
+def test_fiber_minimum_raises_what_fiber_critical_points_raises(norms, error):
+    p = problem(3, 1.0, 1.0, 2.5)
+    with pytest.raises(error) as want:
+        fiber_critical_points(norms, p)
+    with pytest.raises(error) as got:
+        _fiber_minimum(norms, p)
+    assert str(got.value) == str(want.value)
 
 
 # ----------------------------------------------------------------------------

@@ -54,6 +54,28 @@ def test_importing_the_package_leaves_scipy_integrate_unloaded():
     assert out.stdout.split() == []
 
 
+def test_the_solvers_and_the_sub_scan_leave_scipy_interpolate_unloaded():
+    # the re-centering of local_minimize and the resampling of the sub scan
+    # interpolate by the package's own PCHIP
+    code = """
+import sys
+import numpy as np
+import massnls as M
+p = M.problem(3, 0.5 * M.thresholds(3, 2.5, 1.0, 1.0).c0, 1.0, 2.5)
+g = M.bubble_grid(3, 32, 60.0, barrier_radii=(1.0, 2.0))
+init = M.normalize_mass(M.RadialFunction(g, np.exp(-((g.nodes / 3.0) ** 2))), p.c)
+valley = M.local_minimize(p, init)
+assert valley.converged
+M.mountain_pass_path(p, valley.u, M.truncated_instanton(3, 32, g))
+M.threshold_scan_subcritical(p, valley.u, [8, 16])
+print(*sorted(m for m in sys.modules if m.startswith("scipy.interpolate")))
+"""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, timeout=120, check=True)
+    assert out.stdout.split() == []
+
+
 def _module_level_imports(tree):
     """Dotted names a module imports outside its functions and classes."""
     stack = list(tree.body)
@@ -109,6 +131,17 @@ def test_bubbles_imports_no_scipy_optimize_at_any_depth():
     tree = ast.parse((ROOT / "src" / "massnls" / "bubbles.py").read_text())
     assert not any(name.split(".")[:2] == ["scipy", "optimize"]
                    for name in _imports_at_any_depth(tree))
+
+
+def test_no_module_imports_scipy_interpolate():
+    # at any depth: PCHIP is `grid._pchip`, and scipy's is its test oracle
+    found = {
+        path.name
+        for path in (ROOT / "src" / "massnls").rglob("*.py")
+        if any(name.split(".")[:2] == ["scipy", "interpolate"]
+               for name in _imports_at_any_depth(ast.parse(path.read_text())))
+    }
+    assert found == set()
 
 
 def test_no_module_imports_scipy_special_at_module_level():
