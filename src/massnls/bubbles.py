@@ -30,7 +30,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,9 +42,14 @@ from .errors import (
     NoCriticalPointError,
     ParameterError,
     ResolutionError,
+    _integer,
+    _plain,
+    _positive,
+    _real,
 )
 from .functionals import (
     NormBundle,
+    _check_mass,
     _check_mu_below_alpha,
     energy,
     fiber_energy,
@@ -52,7 +57,6 @@ from .functionals import (
 from .grid import (
     RadialFunction,
     RadialGrid,
-    _check_dimension,
     _dot,
     _pchip,
     _row_dots,
@@ -103,18 +107,6 @@ def _core_nodes(n, r_end, per_decade):
 _GRID_MEMO_SIZE = 8
 
 
-def _finite_real(what, v):
-    """v as a float, or ParameterError unless it is a finite real number."""
-    if isinstance(v, numbers.Real):
-        try:
-            f = float(v)
-        except OverflowError:
-            f = math.inf
-        if math.isfinite(f):
-            return f
-    raise ParameterError(f"{what} must be a finite real number, got {v!r}")
-
-
 def bubble_grid(N, n, R_max, barrier_radii=()):
     """A grid resolving both the 1/n concentration core and the far field.
 
@@ -128,19 +120,17 @@ def bubble_grid(N, n, R_max, barrier_radii=()):
     `_GRID_MEMO_SIZE` grids asked for, so its stiffness is built once.
     The arguments are checked before the memo is consulted.
     """
-    N = _check_dimension(N)
-    n = _finite_real("concentration parameter n", n)
-    R_max = _finite_real("R_max", R_max)
+    N = _integer("dimension N", N, 3)
+    n = _real("concentration parameter n", n)
+    R_max = _real("R_max", R_max)
     if not n >= 1:
         raise ParameterError(f"concentration parameter must be >= 1, got {n}")
     if not R_max > 2.0 / n:
         raise ParameterError(f"R_max = {R_max} does not cover the core 2/n")
-    barriers = []
-    for rb in barrier_radii:
-        if not (isinstance(rb, numbers.Real) and 0.0 < rb < R_max):
-            raise ParameterError(f"kink radius {rb!r} outside (0, {R_max})")
-        barriers.append(float(rb))
-    return _bubble_grid(N, n, R_max, tuple(sorted(barriers)))
+    barriers = sorted(_real("kink radius", rb) for rb in barrier_radii)
+    if barriers and not 0.0 < barriers[0] <= barriers[-1] < R_max:
+        raise ParameterError(f"kink radii {barriers} are not all inside (0, {R_max})")
+    return _bubble_grid(N, n, R_max, tuple(barriers))
 
 
 @functools.lru_cache(maxsize=_GRID_MEMO_SIZE)
@@ -191,12 +181,6 @@ def _integer_n(n):
     raise ParameterError(f"concentration n must be an integer >= 1, got {n!r}")
 
 
-def _check_positive(what, v):
-    """ParameterError unless v is finite and positive."""
-    if not (math.isfinite(v) and v > 0.0):
-        raise ParameterError(f"{what} must be finite and positive, got {v!r}")
-
-
 def _ramped_values(N, n, rho, R, r):
     """Instanton core on [0, rho), linear ramp to zero on [rho, R), zero beyond."""
     A = instanton_amplitude(N)
@@ -228,8 +212,8 @@ def _ramped_instanton(N, n, rho, R, grid):
 
 def truncated_instanton(N, n, grid):
     """The compactly supported instanton truncation: kink 1, support [0, 2]."""
-    _check_dimension(N)
-    _check_positive("concentration n", n)
+    _integer("dimension N", N, 3)
+    _positive("concentration n", n)
     return _ramped_instanton(N, n, 1.0, 2.0, grid)
 
 
@@ -379,8 +363,8 @@ def _ramped_norms(N, n, rho, R):
 
 def truncated_norms_model(N, n, q):
     """Exact (mass, grad_sq, lcrit, lq) of the truncated family."""
-    _check_dimension(N)
-    _check_positive("concentration n", n)
+    _integer("dimension N", N, 3)
+    _positive("concentration n", n)
     mass_v, grad_v, crit_v, lq_model = _ramped_norms(N, n, 1.0, 2.0)
     return mass_v, grad_v, crit_v, lq_model(q)
 
@@ -417,8 +401,8 @@ def _kink_core(N, n):
 
 def core_mass(N, n):
     """Mass carried by the instanton core alone, out to r = n^(2/3)."""
-    _check_dimension(N)
-    _check_positive("concentration n", n)
+    _integer("dimension N", N, 3)
+    _positive("concentration n", n)
     return _kink_core(N, n)[1]
 
 
@@ -430,8 +414,8 @@ def normalized_family_min_n(N, c):
     with a large constant, so this bound is far from trivial: c = 1 needs
     n in the tens of thousands.
     """
-    _check_dimension(N)
-    _check_positive("target mass c", c)
+    _integer("dimension N", N, 3)
+    _positive("target mass c", c)
     for n in range(1, 9):
         if _kink_core(N, n)[1] < c:
             return n
@@ -474,9 +458,9 @@ def solve_cutoff_radius(N, c, n):
     already reaches c no cutoff exists, and that case raises BracketError
     rather than returning a spurious near-degenerate root.
     """
-    _check_dimension(N)
-    _check_positive("target mass c", c)
-    _check_positive("concentration n", n)
+    _integer("dimension N", N, 3)
+    _positive("target mass c", c)
+    _positive("concentration n", n)
     rho, core = _kink_core(N, n)
     if core >= c:
         raise BracketError(_no_cutoff(c, n, core, normalized_family_min_n(N, c)))
@@ -690,17 +674,8 @@ class ScanResult:
         return [r.n for r in self.records if r.passed]
 
     def as_dict(self):
-        """The threshold, first passing n and records as plain data that
-        serializes to strict JSON: the NaN fields of a diagnostic row become
-        None."""
-        def plain(v):
-            return None if isinstance(v, float) and math.isnan(v) else v
-
-        return {
-            "threshold": float(self.threshold),
-            "first_pass": self.first_pass,
-            "records": [{k: plain(v) for k, v in asdict(r).items()} for r in self.records],
-        }
+        """Records, threshold and first passing n as strict-JSON data."""
+        return _plain(self)
 
 
 def _scan(n_list, threshold, row):
@@ -820,8 +795,7 @@ def threshold_scan_subcritical(p, u_c, n_list):
     """
     if not p.mass_subcritical:
         raise HypothesisError("the superposition scan applies below q = 2+4/N")
-    if abs(mass(u_c) - p.c) > 1e-6 * p.c:
-        raise ParameterError(f"u_c mass {mass(u_c):g} is off the target sphere c = {p.c:g}")
+    _check_mass(u_c, p, "u_c")
     threshold = energy(u_c, p) + sobolev_constant(p.N).S_pow / p.N
     resample = _pchip(u_c.grid.nodes, u_c.values)
 

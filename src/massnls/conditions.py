@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericalError, ParameterError
+from .errors import NumericalError, ParameterError, _integer, _plain, _real
 from .functionals import GeneralNonlinearity
 
 __all__ = [
@@ -76,27 +76,7 @@ class ConditionReport:
         return all(v.status == "pass" for v in self.verdicts.values())
 
     def as_dict(self):
-        out = {
-            "N": self.N,
-            "kappa_used": self.kappa_used,
-            "C0_estimate": None if np.isnan(self.C0_estimate) else self.C0_estimate,
-            "all_pass": self.all_pass,
-            "verdicts": {
-                k: {
-                    "status": v.status,
-                    "detail": v.detail,
-                    "witness_t": v.witness_t,
-                    "t_range": list(v.t_range) if v.t_range is not None else None,
-                }
-                for k, v in self.verdicts.items()
-            },
-            "t_samples": self.t_samples.tolist(),
-            "ratios": {
-                k: [x if np.isfinite(x) else None for x in np.asarray(v)]
-                for k, v in self.ratios.items()
-            },
-        }
-        return out
+        return {**_plain(self), "all_pass": self.all_pass}
 
 
 # ----------------------------------------------------------------------------
@@ -263,15 +243,13 @@ def check_conditions(f, N, kappa, t_samples=None):
       H1_bracket  the sampled ratio f(t)t/F(t) fits strictly between
                   2+4/N and 2* with room to spare on both sides.
 
-    kappa must exceed N/2.  t_samples, when given, must span at least
-    [1e-6, 1e6] in magnitude; positive-only samples are mirrored across 0.
-    Non-finite values of f or F at a sample raise NumericalError naming
-    the point.
+    N must be an integer >= 3, kappa a finite real above N/2 and t_samples,
+    when given, span at least [1e-6, 1e6] in magnitude (positive-only ones
+    are mirrored across 0), else ParameterError.  Non-finite values of f or
+    F at a sample raise NumericalError naming the point.
     """
-    if int(N) != N or N < 3:
-        raise ParameterError(f"N must be an integer >= 3, got {N!r}")
-    N = int(N)
-    kappa = float(kappa)
+    N = _integer("dimension N", N, 3)
+    kappa = _real("kappa", kappa)
     if not kappa > N / 2.0:
         raise ParameterError(f"kappa must exceed N/2 = {N / 2.0}, got {kappa}")
     if not isinstance(f, GeneralNonlinearity):

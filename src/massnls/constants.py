@@ -33,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BracketError, ConvergenceError, ParameterError
+from .errors import _integer, _plain, _positive, _real
 from .grid import sphere_area
 
 __all__ = [
@@ -64,11 +65,9 @@ class ExponentPack:
 
 def exponents(N, q):
     """Validated exponent bundle for dimension N and power q in (2, 2*)."""
-    if not isinstance(N, (int, np.integer)) or N < 3:
-        raise ParameterError(f"dimension must be an integer >= 3, got {N!r}")
-    N = int(N)
+    N = _integer("dimension N", N, 3)
     two_star = 2.0 * N / (N - 2)
-    q = float(q)
+    q = _real("exponent q", q)
     if not (2.0 < q < two_star):
         raise ParameterError(
             f"q must lie strictly between 2 and 2* = {two_star} (N={N}); got {q}"
@@ -102,7 +101,7 @@ def sobolev_constant(N):
     S = N(N-2) pi (Gamma(N/2)/Gamma(N))^(2/N), and the bubble U attains it:
     ||grad U||_2^2 = ||U||_{2*}^{2*} = S^(N/2).
     """
-    exponents(N, 2.0 + 2.0 / N)  # validates N
+    N = _integer("dimension N", N, 3)
     S = N * (N - 2.0) * math.pi * (math.gamma(N / 2.0) / math.gamma(float(N))) ** (2.0 / N)
     S_pow = S ** (N / 2.0)
     return SobolevConstant(N, S, S_pow, S_pow, S_pow)
@@ -305,9 +304,7 @@ class ThresholdReport:
     alpha_Nq: float | None      # mu-threshold: +inf (q > q_bar), finite (q = q_bar)
 
     def as_dict(self):
-        from dataclasses import asdict
-
-        return asdict(self)
+        return _plain(self)
 
 
 def _rho0(N, q, mu, c, S, C, a0, a1, a2, two_star):
@@ -333,10 +330,8 @@ def thresholds(N, q, mu, c):
     q < q_bar, 1/(2 gamma_q c^(2/N) C^q) at q = q_bar, +inf above.
     """
     ep = exponents(N, q)
-    if not mu > 0.0:
-        raise ParameterError(f"mu must be positive, got {mu}")
-    if not c > 0.0:
-        raise ParameterError(f"c must be positive, got {c}")
+    _positive("mu", mu)
+    _positive("mass c", c)
     S = sobolev_constant(N).S
     C = gn_constant(N, q)
     A_N = instanton_amplitude(N)

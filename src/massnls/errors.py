@@ -1,4 +1,4 @@
-"""Exception taxonomy shared across the package.
+"""Exception taxonomy, input rules and report serialization of the package.
 
 Two broad families, matching the CLI exit-code contract:
 
@@ -8,9 +8,24 @@ Two broad families, matching the CLI exit-code contract:
 * ``NumericalError`` (and subclasses) — the inputs were admissible but the
   computation could not be completed to tolerance: failed brackets, solver
   non-convergence, under-resolved grids, exhausted scans.  CLI exit code 2.
+
+Public entry points check scalar inputs by these rules, and a breach is a
+ParameterError naming the input.  A finite real (`_real`) is a
+``numbers.Real`` with a finite float value: a bool, a string, NaN, +-inf
+and an int beyond the float range are not.  A positive number
+(`_positive`) is a finite real > 0.  An integer (`_integer`) is an ``int``
+or ``np.integer``, not a bool or a float; a dimension N is one >= 3.
+Every report's ``as_dict`` is `_plain` of it: data that
+``json.dumps(allow_nan=False)`` accepts, with NaN and +-inf as None.
 """
 
 from __future__ import annotations
+
+import dataclasses
+import math
+import numbers
+
+import numpy as np
 
 __all__ = [
     "MassNLSError",
@@ -67,3 +82,46 @@ class NoCriticalPointError(NumericalError):
 
 class ScanExhaustedError(NumericalError):
     """A parameter scan ended without finding the requested feature."""
+
+
+def _real(what, v):
+    """v as a float, or ParameterError unless it is a finite real number."""
+    # a plain float or int skips the slower ABC test
+    if type(v) in (float, int) or (isinstance(v, numbers.Real) and not isinstance(v, bool)):
+        try:
+            f = float(v)
+        except OverflowError:
+            f = math.inf
+        if math.isfinite(f):
+            return f
+    raise ParameterError(f"{what} must be a finite real number, got {v!r}")
+
+
+def _positive(what, v):
+    """v as a float, or ParameterError unless it is a finite real > 0."""
+    if _real(what, v) > 0.0:
+        return float(v)
+    raise ParameterError(f"{what} must be positive, got {v!r}")
+
+
+def _integer(what, v, least):
+    """v as an int, or ParameterError unless it is a non-bool integer >= least."""
+    if (type(v) is int or isinstance(v, np.integer)) and v >= least:
+        return int(v)
+    raise ParameterError(f"{what} must be an integer >= {least}, got {v!r}")
+
+
+def _plain(obj, skip=()):
+    """obj as data that json.dumps(allow_nan=False) accepts: a dataclass
+    becomes the dict of its fields but those named in `skip`, lists, tuples
+    and arrays become lists, NumPy scalars Python ones, NaN and +-inf None."""
+    if dataclasses.is_dataclass(obj):
+        obj = {f.name: getattr(obj, f.name)
+               for f in dataclasses.fields(obj) if f.name not in skip}
+    if isinstance(obj, dict):
+        return {k: _plain(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        return [_plain(v) for v in obj]
+    if isinstance(obj, np.generic):
+        obj = obj.item()
+    return None if isinstance(obj, float) and not math.isfinite(obj) else obj

@@ -26,12 +26,12 @@ psi(t) = (t^{q gamma_q}-1)/q + gamma_q (1-t^2)/2 >= 0 for q >= 2+4/N.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from .constants import ExponentPack, exponents, thresholds
-from .errors import HypothesisError, ParameterError
+from .errors import HypothesisError, ParameterError, _plain, _positive, _real
 from .grid import (
     RadialFunction,
     _dot,
@@ -102,11 +102,18 @@ class ProblemParams:
 
 def problem(N, c, mu, q):
     ep = exponents(N, q)
-    if not 0.0 < c < np.inf:
-        raise ParameterError(f"mass c must be positive and finite, got {c}")
-    if not 0.0 <= mu < np.inf:
-        raise ParameterError(f"mu must be nonnegative and finite, got {mu}")
-    return ProblemParams(ep.N, float(c), float(mu), ep.q, ep)
+    c = _positive("mass c", c)
+    mu = _real("mu", mu)
+    if mu < 0.0:
+        raise ParameterError(f"mu must be nonnegative, got {mu}")
+    return ProblemParams(ep.N, c, mu, ep.q, ep)
+
+
+def _check_mass(u, p, what):
+    """ParameterError unless u is on the mass sphere c = p.c to 1e-6."""
+    m = mass(u)
+    if abs(m - p.c) > 1e-6 * p.c:
+        raise ParameterError(f"{what} mass {m:g} is off the target sphere c = {p.c:g}")
 
 
 def _check_mu_below_alpha(p):
@@ -257,8 +264,7 @@ def fiber_scale(u, t):
     t must be positive and finite, with t^(N/2) finite; any other t raises
     ParameterError.
     """
-    if not 0.0 < t < math.inf:
-        raise ParameterError(f"dilation parameter must be positive and finite, got {t}")
+    _positive("dilation parameter t", t)
     g = u.grid
     try:
         amplitude = math.pow(t, g.N / 2.0)
@@ -437,7 +443,7 @@ class EnergyReport:
     mass_tail: float        # truncation diagnostic: outer-5% share of the mass
 
     def as_dict(self):
-        return asdict(self)
+        return _plain(self)
 
 
 def kkt_residual(u, p):
@@ -469,8 +475,7 @@ def normalize_mass(u, c):
 
     c must be positive and finite, else ParameterError.
     """
-    if not 0.0 < c < math.inf:
-        raise ParameterError(f"target mass must be positive and finite, got {c}")
+    _positive("target mass c", c)
     m = mass(u)
     if m <= 0.0:
         raise ParameterError("cannot normalize the zero profile")

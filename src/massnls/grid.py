@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericalError, ParameterError
+from .errors import NumericalError, ParameterError, _integer, _positive, _real
 
 __all__ = [
     "RadialGrid",
@@ -66,12 +66,6 @@ __all__ = [
 def sphere_area(N):
     """Surface measure omega_N of the unit sphere S^(N-1) in R^N."""
     return 2.0 * math.pi ** (N / 2.0) / math.gamma(N / 2.0)
-
-
-def _check_dimension(N):
-    if not isinstance(N, (int, np.integer)) or N < 3:
-        raise ParameterError(f"dimension must be an integer >= 3, got {N!r}")
-    return int(N)
 
 
 # ----------------------------------------------------------------------------
@@ -293,7 +287,7 @@ class RadialGrid:
     def __post_init__(self):
         nodes = np.ascontiguousarray(self.nodes, dtype=float)
         weights = np.ascontiguousarray(self.weights, dtype=float)
-        object.__setattr__(self, "N", _check_dimension(self.N))
+        object.__setattr__(self, "N", _integer("dimension N", self.N, 3))
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
         if nodes.ndim != 1 or len(nodes) < 5:
@@ -395,11 +389,10 @@ def make_grid(N, R_max, M, grading="uniform", strength=2.0):
     grading="uniform" places nodes at R*i/M; grading="graded" at
     R*(i/M)**strength, clustering nodes near the origin for strength > 1.
     """
-    N = _check_dimension(N)
-    if not 0.0 < R_max < math.inf:
-        raise ParameterError(f"R_max must be finite and positive, got {R_max}")
-    if not isinstance(M, (int, np.integer)) or M < 4:
-        raise ParameterError(f"M must be an integer >= 4, got {M!r}")
+    N = _integer("dimension N", N, 3)
+    _positive("R_max", R_max)
+    _integer("M", M, 4)
+    _real("grading strength", strength)
     x = np.linspace(0.0, 1.0, M + 1)
     if grading == "uniform":
         nodes = R_max * x
@@ -420,7 +413,7 @@ def grid_from_nodes(N, nodes, barrier_radii=()):
     Every barrier radius must coincide with a node; cell pairing for the
     quadrature weights is broken there.
     """
-    N = _check_dimension(N)
+    N = _integer("dimension N", N, 3)
     nodes = np.ascontiguousarray(nodes, dtype=float)
     M = len(nodes) - 1
     bounds = [0]
@@ -448,8 +441,7 @@ def integrate(u):
 
 def norms(u, s):
     """The s-th power of the Lebesgue norm, ||u||_s^s = integrate(|u|^s)."""
-    if not s > 0:
-        raise ParameterError(f"norm exponent must be positive, got {s}")
+    _positive("norm exponent s", s)
     g = u.grid
     return g.omega_N * _dot(g.weights, np.abs(u.values) ** s)
 

@@ -91,9 +91,21 @@ def _second_scale(nb, p, t):
     )
 
 
+def _at(fn, nb, p, t):
+    """fn(nb, p, t) at a dilation t of the fiber.  A power of t beyond the
+    floating-point range raises NoCriticalPointError, a NaN NumericalError."""
+    try:
+        v = fn(nb, p, t)
+    except OverflowError:
+        raise NoCriticalPointError(f"fiber terms overflow at t = {t:.6g}") from None
+    if math.isnan(v):
+        raise NumericalError(f"{fn.__name__} is NaN at the fiber point t = {t:.6g}")
+    return v
+
+
 def _classify(nb, p, t):
-    g2 = fiber_second_derivative(nb, p, t)
-    scale = _second_scale(nb, p, t)
+    g2 = _at(fiber_second_derivative, nb, p, t)
+    scale = _at(_second_scale, nb, p, t)
     if abs(g2) <= 1e-8 * scale:
         return "zero"
     return "plus" if g2 > 0.0 else "minus"
@@ -110,8 +122,12 @@ def _exp(log_t):
 
 
 def _log_level(k, a, c, e):
-    """log of the t > 0 with c t^e = k a, free of over- and underflow."""
-    return (math.log(k * a) - math.log(c)) / e
+    """log of the t > 0 with c t^e = k a, free of over- and underflow; a
+    product k a or c that underflowed to 0 raises NumericalError."""
+    ka = k * a
+    if ka == 0.0 or c == 0.0:
+        raise NumericalError(f"a fiber coefficient product underflowed: {k} * {a} or {c} is 0")
+    return (math.log(ka) - math.log(c)) / e
 
 
 def _log_h(a, A, b, e1, e2):
@@ -138,18 +154,16 @@ def _brent(h, s_lo, s_hi, sign_lo):
     lo, hi = max(s_lo, _LOG_MIN), min(s_hi, _LOG_MAX)
     if lo >= hi:
         return None
-    for s, end, sign in ((lo, s_lo, sign_lo), (hi, s_hi, -sign_lo)):
-        if s != end and not sign * h(s) > 0.0:
-            return None
     try:
+        for s, end, sign in ((lo, s_lo, sign_lo), (hi, s_hi, -sign_lo)):
+            if s != end and not sign * h(s) > 0.0:
+                return None
         s = brentq(h, lo, hi, xtol=2.0 * _EPS, rtol=4.0 * _EPS)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         # the bracket has strict signs in exact arithmetic, with margins far
-        # above the rounding of h
-        raise NumericalError(
-            f"fiber derivative lost its sign change on "
-            f"[exp({lo:.6g}), exp({hi:.6g})]: {exc}"
-        ) from exc
+        # above the rounding of h; h overflows only at an end clamped to range
+        raise NumericalError(f"the fiber derivative cannot be solved on "
+                             f"[exp({lo:.6g}), exp({hi:.6g})]: {exc}") from exc
     return math.exp(s)
 
 
@@ -215,8 +229,10 @@ def _roots(nb, p):
     # with both, h rises from -inf to one maximum at t* and falls back to
     # -inf; there b e2 t*^e2 = A (-e1) t*^e1, so a - h(t*) =
     # A t*^e1 (e2 - e1)/e2, compared with a in log space
-    s_star = (math.log(A * -e1) - math.log(b * e2)) / (e2 - e1)
+    s_star = _log_level(-e1, A, b * e2, e2 - e1)
     log_drop = math.log(A * (e2 - e1) / e2) + e1 * s_star
+    if not math.isfinite(log_drop):
+        raise NumericalError(f"fiber coefficient products overflow: (a, A, b) = ({a}, {A}, {b})")
     if log_drop > math.log(a):
         return
     if _LOG_MIN < s_star < _LOG_MAX:
@@ -226,11 +242,9 @@ def _roots(nb, p):
         if _classify(nb, p, t_star) == "zero":
             yield t_star
             return
-        if not fiber_derivative(nb, p, t_star) > 0.0:
+        if not _at(fiber_derivative, nb, p, t_star) > 0.0:
             raise NumericalError(
-                f"fiber derivative underflowed at the maximum of h, "
-                f"t = {t_star:.6g}"
-            )
+                f"fiber derivative underflowed at the maximum of h, t = {t_star:.6g}")
     # at each outer end one term alone is 1.1a, so h <= -a/10
     h = _log_h(a, A, b, e1, e2)
     for s_lo, s_hi, sign_lo in ((_log_level(1.1, a, A, e1), s_star, -1.0),
@@ -246,7 +260,8 @@ def fiber_critical_points(u, p):
     Accepts a RadialFunction, a NormBundle or a (grad_sq, lq, lcrit) triple.
     Every root is bracketed in closed form and refined to full precision by
     one Brent solve.  There is no search window: roots are found at any
-    scale the floating-point range holds.
+    scale the floating-point range holds.  A root whose fiber terms
+    overflow raises NoCriticalPointError, a NaN energy NumericalError.
     For q >= 2+4/N the root is unique and 'minus'; its absence, or a root
     beyond the floating-point range, raises NoCriticalPointError.  For
     q < 2+4/N the list may be empty, contain one degenerate point, or a
@@ -261,10 +276,8 @@ def fiber_critical_points(u, p):
             "means the quadratic coefficient is dominated (e.g. mu beyond "
             "the smallness threshold)"
         )
-    return [
-        FiberCriticalPoint(r, _classify(nb, p, r), float(fiber_energy(nb, p, r)))
-        for r in roots
-    ]
+    return [FiberCriticalPoint(r, _classify(nb, p, r), float(_at(fiber_energy, nb, p, r)))
+            for r in roots]
 
 
 def _fiber_minimum(u, p):
@@ -280,7 +293,7 @@ def _fiber_minimum(u, p):
     nb = coerce_bundle(u, p)
     for r in _roots(nb, p):
         if _classify(nb, p, r) == "plus":
-            return FiberCriticalPoint(r, "plus", float(fiber_energy(nb, p, r)))
+            return FiberCriticalPoint(r, "plus", float(_at(fiber_energy, nb, p, r)))
     return None
 
 

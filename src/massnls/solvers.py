@@ -27,7 +27,7 @@ stopped and counts the work they did.
 """
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -40,8 +40,12 @@ from .errors import (
     NumericalError,
     ParameterError,
     ScanExhaustedError,
+    _integer,
+    _plain,
+    _positive,
 )
 from .functionals import (
+    _check_mass,
     _check_mu_below_alpha,
     _GridPass,
     _tangential_residual,
@@ -77,10 +81,9 @@ class SolveOptions:
     grad_tol: float = 1e-8
 
     def __post_init__(self):
-        if self.max_iters < 1:
-            raise ParameterError(f"max_iters must be >= 1, got {self.max_iters}")
-        if not self.step0 > 0.0 or not self.grad_tol > 0.0:
-            raise ParameterError("step0 and grad_tol must be positive")
+        _integer("max_iters", self.max_iters, 1)
+        _positive("step0", self.step0)
+        _positive("grad_tol", self.grad_tol)
 
 
 @dataclass
@@ -110,12 +113,8 @@ class SolutionReport:
     factorizations: int        # tridiagonal factorizations, descent and Newton
 
     def as_dict(self):
-        """Every field but the profile u, as plain data that serializes to
-        strict JSON: history rows as lists, energy_report as its as_dict()."""
-        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "u"}
-        out["history"] = [list(row) for row in self.history]
-        out["energy_report"] = self.energy_report.as_dict()
-        return out
+        """Every field but the profile u as strict-JSON data."""
+        return _plain(self, skip=("u",))
 
 
 # ----------------------------------------------------------------------------
@@ -374,10 +373,7 @@ def _newton_polish(g, vals, p, grad_tol):
 
 def _on_sphere(p, init):
     """(grid, W, vals) of an init on the mass sphere to 1e-6, retracted."""
-    if abs(mass(init) - p.c) > 1e-6 * p.c:
-        raise ParameterError(
-            f"initializer mass {mass(init):g} is off the target sphere c = {p.c:g}"
-        )
+    _check_mass(init, p, "initializer")
     g = init.grid
     W = g.omega_N * g.weights
     return g, W, _retract(W, np.asarray(init.values, dtype=float), p.c)
@@ -566,16 +562,8 @@ class MountainPassReport:
     mass_err_max: float
 
     def as_dict(self):
-        """Every field as plain data that serializes to strict JSON: the
-        arrays as lists, a NaN as None."""
-        def plain(v):
-            return None if math.isnan(v) else v
-
-        out = {}
-        for f in fields(self):
-            v = getattr(self, f.name)
-            out[f.name] = [plain(x) for x in v.tolist()] if isinstance(v, np.ndarray) else plain(v)
-        return out
+        """Every field as strict-JSON data: the arrays as lists, a NaN as None."""
+        return _plain(self)
 
 
 def mountain_pass_path(p, u_minus, bubble, t_grid=None):
@@ -603,10 +591,7 @@ def mountain_pass_path(p, u_minus, bubble, t_grid=None):
     """
     if not p.mass_subcritical:
         raise HypothesisError("the mountain-pass path lives below q = 2 + 4/N")
-    if abs(mass(u_minus) - p.c) > 1e-6 * p.c:
-        raise ParameterError(
-            f"u_minus mass {mass(u_minus):g} is off the target sphere c = {p.c:g}"
-        )
+    _check_mass(u_minus, p, "u_minus")
     if t_grid is None:
         t_grid = np.concatenate([[0.0], _T_GRID])
     else:
@@ -615,10 +600,9 @@ def mountain_pass_path(p, u_minus, bubble, t_grid=None):
             raise ParameterError(
                 f"t_grid must be a nonempty 1-D array of weights, got shape {t_grid.shape}"
             )
-        if not np.all(np.isfinite(t_grid) & (t_grid >= 0.0)):
-            raise ParameterError("superposition weights must be finite and nonnegative")
-        if not np.all(np.diff(t_grid) > 0.0):
-            raise ParameterError("superposition weights must be strictly increasing")
+        if not (np.all(np.isfinite(t_grid) & (t_grid >= 0.0)) and np.all(np.diff(t_grid) > 0.0)):
+            raise ParameterError(
+                "superposition weights must be finite, nonnegative and strictly increasing")
         if t_grid[0] != 0.0:
             t_grid = np.concatenate([[0.0], t_grid])
 

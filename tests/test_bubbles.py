@@ -101,10 +101,12 @@ def test_bubble_grid_is_the_sorted_union_of_its_pieces(n):
     assert np.array_equal(B.bubble_grid(3, n, 60, (1, 2)).nodes, nodes)
 
 
+# the non-finite ones raised ValueError, ZeroDivisionError or OverflowError;
+# then n < 1, R_max below the core 2/n and R_max below the kink radius 1
 @pytest.mark.parametrize("n, R_max", [(math.nan, 60.0), (math.inf, 60.0),
-                                      (8, math.inf), (8, math.nan)])
+                                      (8, math.inf), (8, math.nan),
+                                      (0.5, 60.0), (8, 0.25), (8, 0.9)])
 def test_bubble_grid_rejects_non_finite_parameters(n, R_max):
-    # these raised ValueError, ZeroDivisionError or OverflowError
     with pytest.raises(ParameterError):
         B.bubble_grid(3, n, R_max, barrier_radii=(1.0,))
 
@@ -418,16 +420,17 @@ def test_cutoff_rejects_bad_mass():
             B.solve_cutoff_radius(4, c, 64)
 
 
-@pytest.mark.parametrize("n", [0, -8, -8.0, math.nan, math.inf])
+@pytest.mark.parametrize("n", [0, -8, -8.0, math.nan, math.inf, "8", True])
 def test_cutoff_rejects_bad_concentration(n):
-    # n = 0 divided by zero; n = -8 made the kink n^(2/3) complex
+    # n = 0 divided by zero; n = -8 made the kink n^(2/3) complex; "8"
+    # raised TypeError and True was taken as n = 1
     with pytest.raises(ParameterError, match="concentration"):
         B.solve_cutoff_radius(4, 1.0, n)
     with pytest.raises(ParameterError, match="concentration"):
         B.core_mass(4, n)
 
 
-@pytest.mark.parametrize("n", [0, -8, math.nan, math.inf])
+@pytest.mark.parametrize("n", [0, -8, math.nan, math.inf, "8", True])
 def test_truncated_family_rejects_bad_concentration(n):
     # n = -8 returned a negative mass, n = 0 NaN norms
     g = B.bubble_grid(3, 8, 2.0, barrier_radii=(1.0,))
@@ -437,7 +440,7 @@ def test_truncated_family_rejects_bad_concentration(n):
         B.truncated_instanton(3, n, g)
 
 
-@pytest.mark.parametrize("c", [0.0, math.nan, math.inf])
+@pytest.mark.parametrize("c", [0.0, math.nan, math.inf, "1", True])
 def test_family_min_n_rejects_bad_mass(c):
     # nan used to return 16
     with pytest.raises(ParameterError, match="target mass"):
@@ -911,6 +914,23 @@ def test_subcritical_scan_sup_by_bisection_alone(monkeypatch):
     assert B._T_GRID[k - 1] < r.t_at_sup < B._T_GRID[k + 1]
     assert r.sup_t >= vals[k]
     assert r.t_at_sup == pytest.approx(newton.t_at_sup, rel=1e-9)
+
+
+def test_subcritical_scan_keeps_the_grid_value_over_a_lower_refinement(monkeypatch):
+    # a refinement that lands below the grid maximum (here the left
+    # neighbour of the argmax) gives way to the grid point itself, valued
+    # by a scalar bundle
+    c = 0.5 * C0_3_25_1
+    p = problem(3, c, 1.0, 2.5)
+    u_c = _valley(c)
+    monkeypatch.setattr(B, "_argmax_in_log_t", lambda p, cross, lo, s, hi: lo)
+    r = B.threshold_scan_subcritical(p, u_c, [32]).records[0]
+    cross = _row_cross(p, u_c, 32)
+    vals = _grid_values(p, cross)
+    k = int(np.argmax(vals))
+    nb = B._superposition_bundle(p, cross, float(B._T_GRID[k]))
+    assert (r.t_at_sup, r.sup_t) == (B._T_GRID[k], vals[k])
+    assert (r.mass, r.grad_sq, r.lcrit, r.lq) == (nb.mass, nb.grad_sq, nb.lcrit, nb.lq)
 
 
 def test_subcritical_scan_sup_is_the_fiber_maximum():

@@ -1,6 +1,7 @@
 """Tests for the nonlinearity condition auditor."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -221,6 +222,11 @@ def test_guards_on_kappa_and_samples():
                          t_samples=np.geomspace(1e-3, 1e3, 40))
     with pytest.raises(ParameterError, match="N must be"):
         check_conditions(_power(4.0), 2, 2.0)
+    # N = 3.0 and kappa = inf were accepted
+    with pytest.raises(ParameterError, match="N must be"):
+        check_conditions(_power(4.0), 3.0, 2.0)
+    with pytest.raises(ParameterError, match="kappa"):
+        check_conditions(_power(4.0), 3, math.inf)
     with pytest.raises(ParameterError, match="nonzero"):
         check_conditions(_power(4.0), 3, 2.0, t_samples=[0.0])
     with pytest.raises(ParameterError, match="finite"):

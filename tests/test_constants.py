@@ -1,5 +1,6 @@
 """Exponent algebra, Sobolev/GN constants (two routes each), thresholds."""
 
+import json
 import math
 
 import numpy as np
@@ -66,7 +67,9 @@ def test_gamma_sign_tracks_mass_criticality(N, frac):
     assert (q * ep.gamma_q - 2 > 0) == (q > ep.q_bar) or abs(q - ep.q_bar) < 1e-12
 
 
-@pytest.mark.parametrize("N,q", [(3, 2.0), (3, 6.0), (3, 7.0), (2, 3.0), (3.5, 3.0)])
+# "2.5" was taken as 2.5, and 10**400 raised OverflowError
+@pytest.mark.parametrize("N,q", [(3, 2.0), (3, 6.0), (3, 7.0), (2, 3.0), (3.5, 3.0),
+                                 (3, "2.5"), (3, 10 ** 400)])
 def test_exponents_reject(N, q):
     with pytest.raises(ParameterError):
         exponents(N, q)
@@ -391,3 +394,17 @@ def test_thresholds_reject_bad_mu_c():
         thresholds(3, 2.5, 0.0, 1.0)
     with pytest.raises(ParameterError):
         thresholds(3, 2.5, 1.0, -2.0)
+    # mu = inf gave c0 = 0 with a RuntimeWarning, c = inf a finite c0, and
+    # "1" a TypeError
+    for mu, c in ((math.inf, 1.0), (1.0, math.inf), ("1", 1.0), (1.0, True)):
+        with pytest.raises(ParameterError):
+            thresholds(3, 2.5, mu, c)
+
+
+@pytest.mark.parametrize("q", [2.5, 10.0 / 3.0, 4.0])
+def test_threshold_report_as_dict_is_strict_json(q):
+    # above 2+4/N alpha_Nq is +inf, which strict JSON cannot carry
+    rep = thresholds(3, q, 1.0, 1.0)
+    d = json.loads(json.dumps(rep.as_dict(), allow_nan=False))
+    assert d == {k: None if v == math.inf else v for k, v in vars(rep).items()}
+    assert (d["alpha_Nq"] is None) == (q != 10.0 / 3.0)

@@ -1,5 +1,6 @@
 """Tests for the energy/Pohozaev functionals and the dilation fiber algebra."""
 
+import json
 import math
 
 import numpy as np
@@ -61,9 +62,15 @@ def test_problem_validation():
         problem(3, 1.0, 1.0, 6.0)  # q = 2* not allowed
     with pytest.raises(ParameterError):
         problem(3, 1.0, 1.0, 2.0)
+    # the exponent "2.5" and the bool mass were accepted
+    for args in ((3, 1.0, 1.0, "2.5"), (3, True, 1.0, 4.0)):
+        with pytest.raises(ParameterError):
+            problem(*args)
 
 
-@pytest.mark.parametrize("c, mu", [(math.inf, 1.0), (1.0, math.nan), (1.0, math.inf)])
+# "1" raised TypeError
+@pytest.mark.parametrize("c, mu", [(math.inf, 1.0), (1.0, math.nan), (1.0, math.inf),
+                                   ("1", 1.0), (1.0, "1")])
 def test_problem_rejects_non_finite_mass_or_mu(c, mu):
     with pytest.raises(ParameterError, match="finite"):
         problem(3, c, mu, 4.0)
@@ -203,7 +210,7 @@ def test_fiber_scale_rejects_nonpositive_t():
             fiber_scale(u, t)
 
 
-@pytest.mark.parametrize("t", [math.inf, math.nan, 1e250, 1e308])
+@pytest.mark.parametrize("t", [math.inf, math.nan, 1e250, 1e308, "2", True])
 def test_fiber_scale_rejects_non_finite_t_and_an_overflowing_amplitude(t):
     # at N = 3 the amplitude t^(3/2) overflows from t ~ 3.2e205 on
     g = _grid(M=256)
@@ -385,6 +392,17 @@ def test_energy_report_is_internally_consistent():
         assert key in d
 
 
+def test_energy_report_as_dict_is_strict_json():
+    g = _grid(M=256)
+    rep = energy_report(_gauss(g, [(1.0, 1.5)]), problem(3, 1.0, 1.0, 4.0))
+    d = rep.as_dict()
+    assert json.loads(json.dumps(d, allow_nan=False)) == d == vars(rep)
+    # a non-finite field, such as the multiplier of a zero profile, is None
+    bad = EnergyReport(**{**vars(rep), "multiplier": math.nan, "kkt_residual": math.inf})
+    d = json.loads(json.dumps(bad.as_dict(), allow_nan=False))
+    assert d["multiplier"] is None and d["kkt_residual"] is None and d["phi"] == rep.phi
+
+
 def test_kkt_residual_basic_properties():
     g = _grid(M=512)
     u = _gauss(g, [(1.0, 1.5)])
@@ -405,7 +423,7 @@ def test_normalize_mass():
         normalize_mass(u.with_values(np.zeros_like(u.values)), 1.0)
 
 
-@pytest.mark.parametrize("c", [0.0, -1.0, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("c", [0.0, -1.0, math.nan, math.inf, -math.inf, "1", True])
 def test_normalize_mass_rejects_a_target_outside_zero_to_inf(c):
     g = _grid(M=64)
     u = _gauss(g, [(0.7, 1.1)])

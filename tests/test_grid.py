@@ -12,6 +12,7 @@ from massnls import (
     NumericalError,
     ParameterError,
     RadialFunction,
+    RadialGrid,
     grad_norm_sq,
     grid_from_nodes,
     integrate,
@@ -433,6 +434,44 @@ def test_csv_header_required(tmp_path):
         read_csv(p)
 
 
+@pytest.mark.parametrize("text, match", [
+    ("# N=3 R_max=1 M=4\n" + "".join(f"{r},1.0,0.0\n" for r in (0, .25, .5, .75, 1)),
+     "two columns"),
+    ("# N=3 R_max=1 M=5\n" + "".join(f"{r},1.0\n" for r in (0, .25, .5, .75, 1)), "M=5"),
+    ("# N=3 R_max=2 M=4\n" + "".join(f"{r},1.0\n" for r in (0, .25, .5, .75, 1)), "last node"),
+], ids=["three_columns", "row_count", "last_node"])
+def test_read_csv_refuses_a_body_that_disagrees_with_its_header(tmp_path, text, match):
+    p = tmp_path / "bad.csv"
+    p.write_text(text)
+    with pytest.raises(ParameterError, match=match):
+        read_csv(p)
+
+
+@pytest.mark.parametrize("nodes, weights, match", [
+    ([0.0, 1.0, 2.0, 3.0], [1.0] * 4, "at least 5 nodes"),
+    ([0.5, 1.0, 2.0, 3.0, 4.0], [1.0] * 5, "first node"),
+    ([0.0, 1.0, 1.0, 3.0, 4.0], [1.0] * 5, "strictly increasing"),
+    ([0.0, 1.0, 2.0, 3.0, 4.0], [1.0] * 4, "shape mismatch"),
+], ids=["four_nodes", "first_node", "repeated_node", "weights_shape"])
+def test_radial_grid_refuses_malformed_nodes_and_weights(nodes, weights, match):
+    with pytest.raises(ParameterError, match=match):
+        RadialGrid(3, nodes, weights)
+
+
+def test_radial_function_refuses_values_of_another_shape():
+    g = make_grid(3, 1.0, 8)
+    with pytest.raises(ParameterError, match="does not match"):
+        RadialFunction(g, np.ones(8))
+
+
+@pytest.mark.parametrize("s", [0, -2.0, math.nan, math.inf, "2", True])
+def test_norms_reject_an_exponent_that_is_not_positive_and_finite(s):
+    # inf returned a number and "2" raised TypeError
+    g = make_grid(3, 1.0, 8)
+    with pytest.raises(ParameterError, match="norm exponent"):
+        norms(RadialFunction(g, np.exp(-g.nodes)), s)
+
+
 @pytest.mark.parametrize(
     "kwargs",
     [
@@ -444,6 +483,11 @@ def test_csv_header_required(tmp_path):
         # inf warned in the node arithmetic, then failed the first-node check
         dict(N=3, R_max=math.inf, M=64),
         dict(N=3, R_max=math.nan, M=64),
+        # "1" raised TypeError; True and the unused infinite strength were
+        # accepted
+        dict(N=3, R_max="1", M=16),
+        dict(N=3, R_max=True, M=16),
+        dict(N=3, R_max=1.0, M=64, strength=math.inf),
     ],
 )
 def test_make_grid_rejects_bad_parameters(kwargs):

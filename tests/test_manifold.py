@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from massnls.constants import sobolev_constant
 from massnls.errors import (
     HypothesisError,
+    MassNLSError,
     NoCriticalPointError,
     NumericalError,
     ParameterError,
@@ -363,7 +364,8 @@ def test_fiber_minimum_is_the_plus_point_of_fiber_critical_points(a, d, b, mu, N
     try:
         want = _bits(_first_plus(nb, p))
     except Exception as exc:
-        # the same error, e.g. an OverflowError classifying the first root in t
+        # the same error, e.g. a NoCriticalPointError where the first root
+        # overflows in t
         with pytest.raises(type(exc)) as got:
             _fiber_minimum(nb, p)
         assert str(got.value) == str(exc)
@@ -412,6 +414,45 @@ def test_fiber_minimum_raises_what_fiber_critical_points_raises(norms, error):
 # ----------------------------------------------------------------------------
 # errors
 # ----------------------------------------------------------------------------
+
+# norms over the whole positive float range, subnormals included, and 0
+_ANY_NORM = st.one_of(st.just(0.0), st.floats(-320.0, 308.0).map(lambda e: 10.0 ** e))
+
+
+@given(a=_ANY_NORM, d=_ANY_NORM, b=_ANY_NORM,
+       mu=st.one_of(st.just(0.0), st.floats(1e-3, 1e3)),
+       N=st.sampled_from([3, 4, 5, 6]), f=st.one_of(st.just(1.0), st.floats(0.01, 1.49)))
+# a root whose powers of t overflow: near t = 2.7e95, and the P- root near
+# t = 3e62 (the P+ root is in range)
+@example(a=1e-5, d=1.0, b=0.0, mu=1.0, N=3, f=0.975)
+@example(a=1.0, d=1e-3, b=1e-250, mu=1.0, N=3, f=0.375)
+@example(a=5e-324, d=1.0, b=1.0, mu=1.0, N=3, f=1.5)       # 0.4 a underflows to 0
+@example(a=1.7e308, d=1.0, b=1.7e308, mu=1.0, N=3, f=1.5)  # h overflows at t = e^709
+@example(a=1e267, d=0.0, b=1e63, mu=1.0, N=3, f=1.0)       # fiber energy inf - inf
+@settings(max_examples=400, deadline=None)
+def test_fiber_roots_raise_only_package_errors_and_return_no_nan(a, d, b, mu, N, f):
+    # these raised OverflowError, ValueError or returned a NaN energy
+    p = problem(N, 1.0, mu, 2.0 + f * 4.0 / N)
+    for find in (fiber_critical_points, _fiber_minimum):
+        if find is _fiber_minimum and not p.mass_subcritical:
+            continue
+        try:
+            found = find((a, d, b), p)
+        except MassNLSError:
+            continue
+        for pt in found if isinstance(found, list) else filter(None, [found]):
+            assert not (math.isnan(pt.t) or math.isnan(pt.value))
+
+
+def test_an_overflowing_root_is_named():
+    p = problem(3, 1.0, 1.0, 3.3)
+    with pytest.raises(NoCriticalPointError, match="t = 2.6941e"):
+        fiber_critical_points((1e-5, 1.0, 0.0), p)
+    # the P- root overflows in its energy, the fiber minimum does not
+    p = problem(3, 1.0, 1.0, 2.5)
+    with pytest.raises(NoCriticalPointError, match="overflow at t = 3.16"):
+        fiber_critical_points((1.0, 1e-3, 1e-250), p)
+    assert _fiber_minimum((1.0, 1e-3, 1e-250), p).t < 1.0
 
 def test_no_reaction_terms_raises():
     p = problem(3, 1.0, 1.0, 4.0)

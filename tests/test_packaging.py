@@ -207,3 +207,17 @@ def test_the_package_exports_only_public_names_of_its_modules():
             public = set(importlib.import_module(f"massnls.{node.module}").__all__)
             stray += [f"{node.module}.{a.name}" for a in node.names if a.name not in public]
     assert stray == []
+
+
+def test_every_raise_names_a_class_of_the_errors_taxonomy():
+    # failures use the taxonomy of errors.py: each raise names one of its
+    # classes, called or not, and only a bare raise re-raises what was caught
+    public = set(importlib.import_module("massnls.errors").__all__)
+    stray = []
+    for path in (ROOT / "src" / "massnls").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if not (isinstance(exc, ast.Name) and exc.id in public):
+                    stray.append(f"{path.name}:{node.lineno}: raise {ast.unparse(exc)}")
+    assert stray == []

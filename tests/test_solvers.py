@@ -4,6 +4,7 @@ ground state and mountain-pass paths."""
 import dataclasses
 import functools
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -98,6 +99,12 @@ def test_options_defaults():
         dict(step0=0.0),
         dict(step0=-1.0),
         dict(grad_tol=0.0),
+        # "5" raised TypeError; 5.0, True and inf were accepted
+        dict(max_iters="5"),
+        dict(max_iters=5.0),
+        dict(max_iters=True),
+        dict(step0=math.inf),
+        dict(grad_tol="1e-8"),
     ],
 )
 def test_options_reject_bad_fields(kw):
